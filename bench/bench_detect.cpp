@@ -120,7 +120,7 @@ int main(int argc, char** argv) {
           name = "finn";
           break;
         default:
-          policy = std::make_unique<detect::StaticFlexiblePolicy>(lib);
+          policy = std::make_unique<core::PinnedPolicy>(lib, 0, hls::AcceleratorVariant::kFlexible);
           name = "flexible";
           break;
       }

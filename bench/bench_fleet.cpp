@@ -190,7 +190,7 @@ int main(int argc, char** argv) {
   // happens to fit this particular trace. Needs knowledge no deployable
   // baseline has — shown for context, not enforced against.
   for (std::size_t v = 0; v < big.versions.size(); ++v) {
-    fleet::PinnedPolicy pinned(big, v);
+    core::PinnedPolicy pinned(big, v, hls::AcceleratorVariant::kFixed);
     const edge::RunMetrics m = edge::run_simulation(shift_trace, pinned, server, 7);
     add_single_row(table, "oracle-pinned-" + big.versions[v].version, m);
   }

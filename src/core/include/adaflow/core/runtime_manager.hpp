@@ -48,6 +48,14 @@ struct RuntimeManagerConfig {
   double reconfig_failure_hold_s = 5.0;
 };
 
+/// The operating point of library row \p version on \p variant: its own
+/// Fixed-Pruning accelerator ("Fixed@<version>") or the shared Flexible-Pruning
+/// one ("Flexible"), with that variant's FPS and power figures. The one place
+/// a (version, variant) pair becomes a ServingMode; throws std::out_of_range
+/// on a bad index.
+edge::ServingMode mode_for(const AcceleratorLibrary& library, std::size_t version,
+                           hls::AcceleratorVariant variant);
+
 /// The AdaFlow Runtime Manager, exposed as an edge serving policy.
 class RuntimeManager final : public edge::ServingPolicy {
  public:
@@ -92,8 +100,6 @@ class RuntimeManager final : public edge::ServingPolicy {
   hls::AcceleratorVariant current_variant() const { return current_variant_; }
 
  private:
-  edge::ServingMode mode_for(std::size_t version, hls::AcceleratorVariant variant) const;
-
   const AcceleratorLibrary& library_;
   RuntimeManagerConfig config_;
 
@@ -121,6 +127,25 @@ class StaticFinnPolicy final : public edge::ServingPolicy {
 
  private:
   const AcceleratorLibrary& library_;
+};
+
+/// Serves one library version on one accelerator variant and never acts on
+/// its own. On Fixed it is the fleet's coordinator-driven device (re-targeted
+/// through DeviceSim::command_switch: cheap to run, expensive to change); on
+/// Flexible it is the static shared-accelerator baseline whose sub-ms
+/// switches stay unused.
+class PinnedPolicy final : public edge::ServingPolicy {
+ public:
+  /// Throws ConfigError when \p version is out of range.
+  PinnedPolicy(const AcceleratorLibrary& library, std::size_t version,
+               hls::AcceleratorVariant variant);
+  edge::ServingMode initial_mode() override { return mode_for(library_, version_, variant_); }
+  std::optional<edge::SwitchAction> on_poll(double, double) override { return std::nullopt; }
+
+ private:
+  const AcceleratorLibrary& library_;
+  std::size_t version_;
+  hls::AcceleratorVariant variant_;
 };
 
 /// Baseline for Fig. 1(b): model switching allowed, but every switch is an

@@ -68,9 +68,9 @@ RuntimeManager::RuntimeManager(const AcceleratorLibrary& library, RuntimeManager
   }
 }
 
-edge::ServingMode RuntimeManager::mode_for(std::size_t version,
-                                           hls::AcceleratorVariant variant) const {
-  const ModelVersion& v = library_.versions.at(version);
+edge::ServingMode mode_for(const AcceleratorLibrary& library, std::size_t version,
+                           hls::AcceleratorVariant variant) {
+  const ModelVersion& v = library.versions.at(version);
   edge::ServingMode mode;
   mode.model_version = v.version;
   if (variant == hls::AcceleratorVariant::kFixed) {
@@ -88,6 +88,14 @@ edge::ServingMode RuntimeManager::mode_for(std::size_t version,
   return mode;
 }
 
+PinnedPolicy::PinnedPolicy(const AcceleratorLibrary& library, std::size_t version,
+                           hls::AcceleratorVariant variant)
+    : library_(library), version_(version), variant_(variant) {
+  require(version < library.versions.size(),
+          "pinned version index " + std::to_string(version) + " out of range (library has " +
+              std::to_string(library.versions.size()) + " versions)");
+}
+
 edge::ServingMode RuntimeManager::initial_mode() {
   // Deployment starts on the unpruned model's Fixed accelerator — the same
   // hardware the Original FINN baseline runs, before any adaptation. The
@@ -99,7 +107,7 @@ edge::ServingMode RuntimeManager::initial_mode() {
   live_variant_ = hls::AcceleratorVariant::kFixed;
   last_model_switch_s_ = -1e18;
   last_switch_failure_s_ = -1e18;
-  return mode_for(current_version_, current_variant_);
+  return mode_for(library_, current_version_, current_variant_);
 }
 
 std::size_t RuntimeManager::select_version(double incoming_fps) const {
@@ -174,7 +182,7 @@ std::optional<edge::SwitchAction> RuntimeManager::on_poll(double now_s, double i
 
   const hls::AcceleratorVariant variant = select_variant(now_s);
   edge::SwitchAction action;
-  action.target = mode_for(target, variant);
+  action.target = mode_for(library_, target, variant);
   if (variant == hls::AcceleratorVariant::kFixed) {
     // Loading a different Fixed bitstream is always a reconfiguration.
     action.switch_time_s = library_.reconfig_time_s;
@@ -223,7 +231,7 @@ std::optional<edge::SwitchAction> RuntimeManager::on_switch_failed(
   // "Change of Dataflow" reconfiguration otherwise.
   const std::size_t version = library_.index_of(action.target.model_version);
   edge::SwitchAction fallback;
-  fallback.target = mode_for(version, hls::AcceleratorVariant::kFlexible);
+  fallback.target = mode_for(library_, version, hls::AcceleratorVariant::kFlexible);
   if (live_variant_ == hls::AcceleratorVariant::kFlexible) {
     fallback.switch_time_s = library_.versions.at(version).flexible_switch_time_s;
     fallback.is_reconfiguration = false;
@@ -266,7 +274,7 @@ std::optional<edge::SwitchAction> RuntimeManager::on_overload(double now_s, doub
     return std::nullopt;  // the Fixed variant of the same version is no slower
   }
   edge::SwitchAction action;
-  action.target = mode_for(fastest, hls::AcceleratorVariant::kFlexible);
+  action.target = mode_for(library_, fastest, hls::AcceleratorVariant::kFlexible);
   if (current_variant_ == hls::AcceleratorVariant::kFlexible) {
     action.switch_time_s = library_.versions.at(fastest).flexible_switch_time_s;
     action.is_reconfiguration = false;
@@ -299,15 +307,7 @@ ReconfPruningPolicy::ReconfPruningPolicy(const AcceleratorLibrary& library,
 
 edge::ServingMode ReconfPruningPolicy::initial_mode() {
   current_version_ = 0;
-  const ModelVersion& v = library_.unpruned();
-  edge::ServingMode mode;
-  mode.model_version = v.version;
-  mode.accelerator = "Fixed@" + v.version;
-  mode.fps = v.fps_fixed;
-  mode.accuracy = v.accuracy;
-  mode.power_busy_w = v.power_busy_fixed_w;
-  mode.power_idle_w = v.power_idle_fixed_w;
-  return mode;
+  return mode_for(library_, 0, hls::AcceleratorVariant::kFixed);
 }
 
 std::optional<edge::SwitchAction> ReconfPruningPolicy::on_poll(double now_s,
@@ -337,14 +337,8 @@ std::optional<edge::SwitchAction> ReconfPruningPolicy::on_poll(double now_s,
     return std::nullopt;
   }
   current_version_ = target;
-  const ModelVersion& v = library_.versions.at(target);
   edge::SwitchAction action;
-  action.target.model_version = v.version;
-  action.target.accelerator = "Fixed@" + v.version;
-  action.target.fps = v.fps_fixed;
-  action.target.accuracy = v.accuracy;
-  action.target.power_busy_w = v.power_busy_fixed_w;
-  action.target.power_idle_w = v.power_idle_fixed_w;
+  action.target = mode_for(library_, target, hls::AcceleratorVariant::kFixed);
   action.switch_time_s = reconfig_time_s_;
   action.is_reconfiguration = reconfig_time_s_ > 0.0;
   return action;

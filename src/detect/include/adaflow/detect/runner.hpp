@@ -12,7 +12,6 @@
 #include <memory>
 #include <vector>
 
-#include "adaflow/core/library.hpp"
 #include "adaflow/detect/pipeline.hpp"
 #include "adaflow/detect/scene.hpp"
 #include "adaflow/edge/device_sim.hpp"
@@ -53,27 +52,12 @@ struct DetectionRunConfig {
   double fps_per_object = 120.0;  ///< extra uploads per unit scene density
 };
 
-/// Runs one single-device detection simulation: Poisson arrivals from
-/// workload_from_scene(scene), the detection service model attached, the
-/// usual monitor/sample cadences. Same (scene, policy state, config, seed)
+/// Runs one single-device detection simulation: edge::run_simulation over
+/// workload_from_scene(scene), with the detection service model attached
+/// through its configure hook. Same (scene, policy state, config, seed)
 /// -> bit-identical RunMetrics.
 edge::RunMetrics run_detection(const SceneTrace& scene, edge::ServingPolicy& policy,
                                const edge::ServerConfig& server,
                                const DetectionRunConfig& config, std::uint64_t seed);
-
-/// Baseline: the shared Flexible-Pruning accelerator statically serving one
-/// version (default: unpruned) — sub-ms switches available but never used.
-/// bench_detect's static counterpart to StaticFinnPolicy on the Fixed side.
-class StaticFlexiblePolicy final : public edge::ServingPolicy {
- public:
-  explicit StaticFlexiblePolicy(const core::AcceleratorLibrary& library,
-                                std::size_t version = 0);
-  edge::ServingMode initial_mode() override;
-  std::optional<edge::SwitchAction> on_poll(double, double) override { return std::nullopt; }
-
- private:
-  const core::AcceleratorLibrary& library_;
-  std::size_t version_;
-};
 
 }  // namespace adaflow::detect

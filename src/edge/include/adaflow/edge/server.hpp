@@ -22,6 +22,7 @@
 #include <cmath>
 #include <concepts>
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -36,14 +37,30 @@ namespace adaflow::faults {
 class FaultInjector;
 }
 
+namespace adaflow::sim {
+class EventQueue;
+}
+
 namespace adaflow::edge {
+
+class DeviceSim;
+
+/// Attaches extra behaviour to the one device of a run_simulation (a
+/// per-frame service model, a canary prober, policy hooks) before the clock
+/// starts.
+using ConfigureHook = std::function<void(sim::EventQueue&, DeviceSim&)>;
 
 /// Runs one full simulation of \p trace under \p policy. \p injector may be
 /// null (fault-free run); when set, the same (schedule, seed) pair replays
-/// bit-identically.
+/// bit-identically. \p configure, when set, runs after the device started and
+/// the arrival, poll and sample events are scheduled, and before the clock
+/// advances; whatever it creates must outlive the call. Throws ConfigError on
+/// an invalid \p config, and adaflow::Error if the run ends with
+/// arrived != processed + lost + frames still on the device.
 RunMetrics run_simulation(const WorkloadTrace& trace, ServingPolicy& policy,
                           const ServerConfig& config, std::uint64_t seed,
-                          faults::FaultInjector* injector = nullptr);
+                          faults::FaultInjector* injector = nullptr,
+                          const ConfigureHook& configure = {});
 
 /// Averages scalar metrics and series over repeated runs (seeds 0..runs-1
 /// offset by seed_base), constructing a fresh policy per run via \p factory.

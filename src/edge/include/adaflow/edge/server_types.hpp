@@ -46,6 +46,12 @@ struct ServerConfig {
   double estimate_window_s = 0.4;    ///< incoming-FPS estimation window
   double sample_interval_s = 0.5;    ///< time-series sampling cadence
   FaultToleranceConfig fault_tolerance;
+
+  /// Throws ConfigError naming the field (prefixed with \p who) on a
+  /// non-positive queue capacity or a non-positive / non-finite poll or
+  /// sample interval (either would re-schedule its cadence event at the same
+  /// instant forever).
+  void validate(const std::string& who = "server") const;
 };
 
 /// One applied mode switch (for Figure 6's annotation track).

@@ -8,10 +8,15 @@
 /// first 15 s, then S2.
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "adaflow/common/rng.hpp"
+
+namespace adaflow::faults {
+class FaultInjector;
+}
 
 namespace adaflow::edge {
 
@@ -73,6 +78,35 @@ class WorkloadTrace {
   std::vector<double> times_;  ///< segment start times (ascending, begins 0)
   std::vector<double> rates_;  ///< rate of each segment
   double duration_ = 0.0;
+};
+
+/// The Poisson arrival process every simulation loop shares: exponential gaps at the
+/// trace's rate (times the injector's kQueueBurst factor when an injector is
+/// given), drawn from one Rng seeded with \p seed. Through a zero-rate stretch
+/// it re-checks the rate every 0.05 s without drawing, so a given (trace,
+/// seed, injector schedule) always yields the same times — whether a caller
+/// chains them through an event queue or drains them into a vector up front.
+class ArrivalStream {
+ public:
+  /// Stops at \p end_s (the trace's duration unless the run ends elsewhere).
+  /// \p trace, and \p injector when non-null, must outlive the stream.
+  ArrivalStream(const WorkloadTrace& trace, std::uint64_t seed, double end_s,
+                faults::FaultInjector* injector = nullptr);
+  ArrivalStream(const WorkloadTrace& trace, std::uint64_t seed,
+                faults::FaultInjector* injector = nullptr)
+      : ArrivalStream(trace, seed, trace.duration(), injector) {}
+
+  /// The next arrival time, or nothing once the process passes the end time
+  /// (and from then on).
+  std::optional<double> next();
+
+ private:
+  const WorkloadTrace* trace_;
+  faults::FaultInjector* injector_;
+  Rng rng_;
+  double end_s_;
+  double t_ = 0.0;  ///< the previous arrival, or the last zero-rate re-check
+  bool done_ = false;
 };
 
 /// Smooth pseudo-diurnal load: a sinusoid between \p low_fps and \p high_fps

@@ -1,11 +1,20 @@
 #include "adaflow/edge/server.hpp"
 
-#include "adaflow/common/rng.hpp"
 #include "adaflow/edge/device_sim.hpp"
-#include "adaflow/faults/fault_injector.hpp"
 #include "adaflow/sim/event_queue.hpp"
 
 namespace adaflow::edge {
+
+void ServerConfig::validate(const std::string& who) const {
+  require(queue_capacity > 0,
+          who + ".queue_capacity must be positive, got " + std::to_string(queue_capacity));
+  require(std::isfinite(poll_interval_s) && poll_interval_s > 0.0,
+          who + ".poll_interval_s must be finite and positive, got " +
+              std::to_string(poll_interval_s));
+  require(std::isfinite(sample_interval_s) && sample_interval_s > 0.0,
+          who + ".sample_interval_s must be finite and positive, got " +
+              std::to_string(sample_interval_s));
+}
 
 namespace {
 
@@ -15,35 +24,20 @@ namespace {
 struct SingleServerDriver {
   const WorkloadTrace& trace;
   const ServerConfig& config;
-  faults::FaultInjector* injector;  ///< may be null (fault-free run)
-  Rng rng;
+  ArrivalStream arrivals;
   sim::EventQueue queue;
   DeviceSim device;
 
   SingleServerDriver(const WorkloadTrace& t, ServingPolicy& policy, const ServerConfig& c,
                      faults::FaultInjector* inj, std::uint64_t seed)
-      : trace(t), config(c), injector(inj), rng(seed),
-        device(queue, policy, c, inj, "server") {}
-
-  void on_arrival() {
-    device.offer_frame(/*count_loss=*/true);
-    schedule_next_arrival();
-  }
+      : trace(t), config(c), arrivals(t, seed, inj), device(queue, policy, c, inj, "server") {}
 
   void schedule_next_arrival() {
-    double rate = trace.rate_at(queue.now());
-    if (injector != nullptr) {
-      rate *= injector->arrival_rate_factor(queue.now());
-    }
-    if (rate <= 0.0) {
-      // Re-check after the next rate boundary.
-      queue.schedule_in(0.05, [this] { schedule_next_arrival(); });
-      return;
-    }
-    const double dt = rng.exponential(rate);
-    const double when = queue.now() + dt;
-    if (when <= trace.duration()) {
-      queue.schedule_at(when, [this] { on_arrival(); });
+    if (const std::optional<double> when = arrivals.next()) {
+      queue.schedule_at(*when, [this] {
+        device.offer_frame(/*count_loss=*/true);
+        schedule_next_arrival();
+      });
     }
   }
 
@@ -62,22 +56,41 @@ struct SingleServerDriver {
       queue.schedule_at(next, [this] { on_sample(); });
     }
   }
+
+  /// arrived == processed + lost + frames still on the device. Canaries are
+  /// probes, not workload, so they count on neither side.
+  void check_conservation() const {
+    const RunMetrics& m = device.metrics();
+    const std::int64_t on_device = device.queued() - device.queued_canaries() +
+                                   (device.processing() && !device.canary_in_service() ? 1 : 0);
+    if (m.arrived != m.processed + m.lost + on_device) {
+      throw Error("flow conservation violated on '" + device.name() +
+                  "': arrived=" + std::to_string(m.arrived) + " processed=" +
+                  std::to_string(m.processed) + " lost=" + std::to_string(m.lost) +
+                  " on_device=" + std::to_string(on_device));
+    }
+  }
 };
 
 }  // namespace
 
 RunMetrics run_simulation(const WorkloadTrace& trace, ServingPolicy& policy,
                           const ServerConfig& config, std::uint64_t seed,
-                          faults::FaultInjector* injector) {
+                          faults::FaultInjector* injector, const ConfigureHook& configure) {
+  config.validate();
   SingleServerDriver driver(trace, policy, config, injector, seed);
   driver.device.start();
 
   driver.schedule_next_arrival();
   driver.queue.schedule_at(config.poll_interval_s, [&driver] { driver.on_poll(); });
   driver.queue.schedule_at(config.sample_interval_s, [&driver] { driver.on_sample(); });
+  if (configure) {
+    configure(driver.queue, driver.device);
+  }
 
   driver.queue.run_until(trace.duration());
   driver.device.finalize(trace.duration());
+  driver.check_conservation();
   return std::move(driver.device.metrics());
 }
 

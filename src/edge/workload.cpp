@@ -8,6 +8,7 @@
 #include <string>
 
 #include "adaflow/common/error.hpp"
+#include "adaflow/faults/fault_injector.hpp"
 
 namespace adaflow::edge {
 
@@ -182,6 +183,33 @@ double WorkloadTrace::rate_at(double t) const {
   auto it = std::upper_bound(times_.begin(), times_.end(), t);
   const std::size_t idx = it == times_.begin() ? 0 : static_cast<std::size_t>(it - times_.begin() - 1);
   return rates_[idx];
+}
+
+ArrivalStream::ArrivalStream(const WorkloadTrace& trace, std::uint64_t seed, double end_s,
+                             faults::FaultInjector* injector)
+    : trace_(&trace), injector_(injector), rng_(seed), end_s_(end_s) {}
+
+std::optional<double> ArrivalStream::next() {
+  while (!done_) {
+    double rate = trace_->rate_at(t_);
+    if (injector_ != nullptr) {
+      rate *= injector_->arrival_rate_factor(t_);
+    }
+    if (rate <= 0.0) {
+      // Re-check after the next rate boundary; no draw.
+      t_ += 0.05;
+      done_ = t_ > end_s_;
+      continue;
+    }
+    const double when = t_ + rng_.exponential(rate);
+    if (when > end_s_) {
+      done_ = true;
+      break;
+    }
+    t_ = when;
+    return when;
+  }
+  return std::nullopt;
 }
 
 namespace {

@@ -8,18 +8,6 @@
 
 namespace adaflow::fleet {
 
-edge::ServingMode fixed_mode_for(const core::AcceleratorLibrary& library, std::size_t version) {
-  const core::ModelVersion& v = library.versions.at(version);
-  edge::ServingMode mode;
-  mode.model_version = v.version;
-  mode.accelerator = "Fixed@" + v.version;
-  mode.fps = v.fps_fixed;
-  mode.accuracy = v.accuracy;
-  mode.power_busy_w = v.power_busy_fixed_w;
-  mode.power_idle_w = v.power_idle_fixed_w;
-  return mode;
-}
-
 std::size_t find_version(const core::AcceleratorLibrary& library,
                          const std::string& version_name) {
   for (std::size_t i = 0; i < library.versions.size(); ++i) {
@@ -616,7 +604,7 @@ void FleetEngine::coordinator_tick() {
       if (dev.idle() || now - drain_started_s_ >= config_.coordinator.drain_timeout_s) {
         const core::AcceleratorLibrary& lib = device_library(coord_device_);
         edge::SwitchAction action;
-        action.target = fixed_mode_for(lib, coord_target_);
+        action.target = core::mode_for(lib, coord_target_, hls::AcceleratorVariant::kFixed);
         action.switch_time_s = lib.reconfig_time_s;
         action.is_reconfiguration = true;
         dev.command_switch(action);

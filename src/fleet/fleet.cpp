@@ -4,7 +4,6 @@
 #include <functional>
 
 #include "adaflow/common/error.hpp"
-#include "adaflow/common/rng.hpp"
 #include "adaflow/fleet/engine.hpp"
 #include "adaflow/sim/event_queue.hpp"
 
@@ -23,15 +22,7 @@ void FleetConfig::validate() const {
     if (!d.make_policy) {
       throw ConfigError(who + " has no make_policy factory");
     }
-    if (d.server.queue_capacity <= 0) {
-      throw ConfigError(who + ": server.queue_capacity must be positive");
-    }
-    if (!(d.server.poll_interval_s > 0.0)) {
-      throw ConfigError(who + ": server.poll_interval_s must be positive");
-    }
-    if (!(d.server.sample_interval_s > 0.0)) {
-      throw ConfigError(who + ": server.sample_interval_s must be positive");
-    }
+    d.server.validate(who + ": server");
     if (d.library != nullptr && d.library->versions.empty()) {
       throw ConfigError(who + ": library has no versions");
     }
@@ -108,39 +99,23 @@ void FleetMetrics::merge(const FleetMetrics& other) {
   tenants.insert(tenants.end(), other.tenants.begin(), other.tenants.end());
 }
 
-PinnedPolicy::PinnedPolicy(const core::AcceleratorLibrary& library, std::size_t version)
-    : library_(library), version_(version) {
-  require(version < library.versions.size(),
-          "pinned version index " + std::to_string(version) + " out of range (library has " +
-              std::to_string(library.versions.size()) + " versions)");
-}
-
-edge::ServingMode PinnedPolicy::initial_mode() { return fixed_mode_for(library_, version_); }
-
 /// The classic closed-world entry point, now a thin wrapper: one FleetEngine
-/// driven by a Poisson arrival process over \p trace. The engine draws no
+/// driven by an edge::ArrivalStream over \p trace. The engine draws no
 /// randomness of its own (injector seeds derive from device_seed), so the
-/// arrival stream here consumes the seed's Rng exactly as it always did and
-/// existing seeded runs replay bit-identically.
+/// stream's Rng is the seed's only consumer and seeded runs replay
+/// bit-identically.
 FleetMetrics run_fleet(const edge::WorkloadTrace& trace, const core::AcceleratorLibrary& library,
                        const FleetConfig& config, RoutingPolicy& router, std::uint64_t seed) {
   config.validate();
   require(!library.versions.empty(), "fleet library has no versions");
   sim::EventQueue queue;
   FleetEngine engine(queue, library, config, router, seed, trace.duration());
-  Rng rng(seed);
+  edge::ArrivalStream arrivals(trace, seed);
   engine.start();
 
   std::function<void()> schedule_next_arrival = [&] {
-    const double rate = trace.rate_at(queue.now());
-    if (rate <= 0.0) {
-      // Re-check after the next rate boundary.
-      queue.schedule_in(0.05, [&] { schedule_next_arrival(); });
-      return;
-    }
-    const double when = queue.now() + rng.exponential(rate);
-    if (when <= trace.duration()) {
-      queue.schedule_at(when, [&] {
+    if (const std::optional<double> when = arrivals.next()) {
+      queue.schedule_at(*when, [&] {
         engine.offer_frame();
         schedule_next_arrival();
       });
@@ -170,7 +145,8 @@ FleetDevice pinned_device(std::string name, const core::AcceleratorLibrary& libr
   d.library = &library;
   d.coordinated = true;
   d.make_policy = [&library, version]() -> std::unique_ptr<edge::ServingPolicy> {
-    return std::make_unique<PinnedPolicy>(library, version);
+    return std::make_unique<core::PinnedPolicy>(library, version,
+                                                hls::AcceleratorVariant::kFixed);
   };
   return d;
 }

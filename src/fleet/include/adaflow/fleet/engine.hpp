@@ -84,11 +84,6 @@ class FifoIngress final : public IngressQueue {
   std::deque<std::int64_t> frames_;
 };
 
-/// The Fixed-Pruning operating point of one library version (what a pinned
-/// device runs, what the coordinator reconfigures to, and what the ingest
-/// brownout controller downgrades to).
-edge::ServingMode fixed_mode_for(const core::AcceleratorLibrary& library, std::size_t version);
-
 /// Index of \p version_name in \p library, or versions.size() when the
 /// device currently runs a mode from a different library.
 std::size_t find_version(const core::AcceleratorLibrary& library,

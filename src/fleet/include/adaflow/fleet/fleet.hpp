@@ -56,7 +56,7 @@ struct FleetDevice {
   /// and the device index, so runs replay bit-identically.
   std::optional<faults::FaultSchedule> fault_schedule;
   /// The coordinator may drain-and-reconfigure this device. Coordinated
-  /// devices should use a PinnedPolicy (see pinned_device) so the local
+  /// devices should use a core::PinnedPolicy (see pinned_device) so the local
   /// policy does not fight the cluster-level decisions.
   bool coordinated = false;
   /// Library the coordinator uses to pick this device's versions (and that
@@ -244,21 +244,6 @@ struct FleetMetrics {
   /// identity and the integer state merges associatively (doubles to
   /// rounding) — the contract tests/shard/test_merge.cpp pins.
   void merge(const FleetMetrics& other);
-};
-
-/// Serves one library version on its Fixed-Pruning accelerator and never
-/// acts on its own; the fleet coordinator re-targets it through
-/// DeviceSim::command_switch. The cluster-side counterpart of the paper's
-/// Fixed accelerator: cheap to run, expensive to change.
-class PinnedPolicy final : public edge::ServingPolicy {
- public:
-  PinnedPolicy(const core::AcceleratorLibrary& library, std::size_t version);
-  edge::ServingMode initial_mode() override;
-  std::optional<edge::SwitchAction> on_poll(double, double) override { return std::nullopt; }
-
- private:
-  const core::AcceleratorLibrary& library_;
-  std::size_t version_;
 };
 
 /// Runs the full cluster simulation of \p trace. \p library is the fleet's

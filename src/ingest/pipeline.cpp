@@ -257,7 +257,7 @@ struct IngestSim {
         continue;
       }
       edge::SwitchAction action;
-      action.target = fleet::fixed_mode_for(lib, target);
+      action.target = core::mode_for(lib, target, hls::AcceleratorVariant::kFixed);
       action.switch_time_s = lib.reconfig_time_s;
       action.is_reconfiguration = true;
       engine.command_device_switch(i, action);

@@ -3,6 +3,7 @@
 #include <utility>
 
 #include "adaflow/common/error.hpp"
+#include "adaflow/core/runtime_manager.hpp"
 
 namespace adaflow::integrity {
 
@@ -28,18 +29,6 @@ IntegrityManager::IntegrityManager(std::unique_ptr<edge::ServingPolicy> inner,
 edge::ServingMode IntegrityManager::initial_mode() {
   live_mode_ = inner_->initial_mode();
   return live_mode_;
-}
-
-edge::ServingMode IntegrityManager::flexible_mode_for(const std::string& model_version) const {
-  const core::ModelVersion& v = library_.versions.at(library_.index_of(model_version));
-  edge::ServingMode mode;
-  mode.model_version = v.version;
-  mode.accelerator = "Flexible";
-  mode.fps = v.fps_flexible;
-  mode.accuracy = v.accuracy;
-  mode.power_busy_w = v.power_busy_flexible_w;
-  mode.power_idle_w = v.power_idle_flexible_w;
-  return mode;
 }
 
 /// Re-load of the LIVE mode. Repairing a Fixed variant means rewriting its
@@ -127,9 +116,9 @@ std::optional<edge::SwitchAction> IntegrityManager::on_switch_failed(
     // the Flexible cross-section shrinks future upsets as a bonus.
     fallback_issued_ = true;
     edge::SwitchAction fallback;
-    fallback.target = flexible_mode_for(live_mode_.model_version);
-    fallback.switch_time_s =
-        library_.versions.at(library_.index_of(live_mode_.model_version)).flexible_switch_time_s;
+    const std::size_t version = library_.index_of(live_mode_.model_version);
+    fallback.target = core::mode_for(library_, version, hls::AcceleratorVariant::kFlexible);
+    fallback.switch_time_s = library_.versions.at(version).flexible_switch_time_s;
     fallback.is_reconfiguration = false;
     return fallback;
   }

@@ -19,7 +19,7 @@
 /// share nothing.
 ///
 /// With S == 1 the engine degrades to exactly run_fleet(): shard 0's seed is
-/// the fleet seed unchanged, the arrival stream consumes the Rng identically,
+/// the fleet seed unchanged, both drain the same edge::ArrivalStream,
 /// and there is no other shard to hand off to (sheds are final) — pinned by
 /// tests/shard/test_sharded_engine.cpp.
 

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <stdexcept>
 #include <string>
 
 #include "adaflow/common/error.hpp"
@@ -356,6 +357,72 @@ TEST(RuntimeManager, OnOverloadRespectsAccuracyThreshold) {
   auto shed = rm.on_overload(5.0, 2500.0);
   ASSERT_TRUE(shed.has_value());
   EXPECT_EQ(shed->target.model_version, "M@p25");
+}
+
+/// Every ServingMode field of every (version, variant) pair differs, so a
+/// field copied from the wrong row or the wrong variant shows up.
+TEST(ModeFor, PinsEveryFieldOfEveryVersionAndVariant) {
+  AcceleratorLibrary lib;
+  for (int i = 0; i < 3; ++i) {
+    ModelVersion v;
+    v.version = "N@p" + std::to_string(i * 30);
+    v.accuracy = 0.9 - 0.02 * i;
+    v.fps_fixed = 100.0 + i;
+    v.fps_flexible = 200.0 + i;
+    v.power_busy_fixed_w = 1.0 + i;
+    v.power_idle_fixed_w = 0.5 + i;
+    v.power_busy_flexible_w = 3.0 + i;
+    v.power_idle_flexible_w = 2.5 + i;
+    lib.versions.push_back(v);
+  }
+  struct Row {
+    std::size_t version;
+    hls::AcceleratorVariant variant;
+    const char* model_version;
+    const char* accelerator;
+    double fps, accuracy, busy_w, idle_w;
+  };
+  using hls::AcceleratorVariant;
+  const Row rows[] = {
+      {0, AcceleratorVariant::kFixed, "N@p0", "Fixed@N@p0", 100.0, 0.90, 1.0, 0.5},
+      {0, AcceleratorVariant::kFlexible, "N@p0", "Flexible", 200.0, 0.90, 3.0, 2.5},
+      {1, AcceleratorVariant::kFixed, "N@p30", "Fixed@N@p30", 101.0, 0.88, 2.0, 1.5},
+      {1, AcceleratorVariant::kFlexible, "N@p30", "Flexible", 201.0, 0.88, 4.0, 3.5},
+      {2, AcceleratorVariant::kFixed, "N@p60", "Fixed@N@p60", 102.0, 0.86, 3.0, 2.5},
+      {2, AcceleratorVariant::kFlexible, "N@p60", "Flexible", 202.0, 0.86, 5.0, 4.5},
+  };
+  for (const Row& r : rows) {
+    SCOPED_TRACE(std::string(r.accelerator) + " " + r.model_version);
+    const edge::ServingMode m = mode_for(lib, r.version, r.variant);
+    EXPECT_EQ(m.model_version, r.model_version);
+    EXPECT_EQ(m.accelerator, r.accelerator);
+    EXPECT_DOUBLE_EQ(m.fps, r.fps);
+    EXPECT_DOUBLE_EQ(m.accuracy, r.accuracy);
+    EXPECT_DOUBLE_EQ(m.power_busy_w, r.busy_w);
+    EXPECT_DOUBLE_EQ(m.power_idle_w, r.idle_w);
+  }
+  EXPECT_THROW(mode_for(lib, 3, AcceleratorVariant::kFixed), std::out_of_range);
+}
+
+TEST(PinnedPolicy, ServesOneVersionOnEitherVariantAndNeverActs) {
+  const AcceleratorLibrary lib = rule_library();
+  PinnedPolicy fixed(lib, 2, hls::AcceleratorVariant::kFixed);
+  EXPECT_EQ(fixed.initial_mode().accelerator, "Fixed@M@p50");
+  EXPECT_DOUBLE_EQ(fixed.initial_mode().fps, lib.versions[2].fps_fixed);
+  EXPECT_FALSE(fixed.on_poll(5.0, 1e6).has_value());
+
+  PinnedPolicy flexible(lib, 1, hls::AcceleratorVariant::kFlexible);
+  const edge::ServingMode mode = flexible.initial_mode();
+  EXPECT_EQ(mode.accelerator, "Flexible");
+  EXPECT_EQ(mode.model_version, lib.versions[1].version);
+  EXPECT_DOUBLE_EQ(mode.fps, lib.versions[1].fps_flexible);
+  EXPECT_FALSE(flexible.on_poll(5.0, 1e6).has_value());
+}
+
+TEST(PinnedPolicy, RejectsAnOutOfRangeVersion) {
+  const AcceleratorLibrary lib = rule_library();
+  EXPECT_THROW(PinnedPolicy(lib, 4, hls::AcceleratorVariant::kFixed), ConfigError);
+  EXPECT_THROW(PinnedPolicy(lib, 99, hls::AcceleratorVariant::kFlexible), ConfigError);
 }
 
 }  // namespace

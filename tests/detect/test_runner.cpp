@@ -68,15 +68,6 @@ TEST(RunDetection, SameSeedReplaysBitIdentically) {
   EXPECT_DOUBLE_EQ(x.qoe_accuracy_sum, y.qoe_accuracy_sum);
 }
 
-TEST(StaticFlexible, ServesOneVersionAndBoundsTheIndex) {
-  StaticFlexiblePolicy policy(library(), 1);
-  const edge::ServingMode mode = policy.initial_mode();
-  EXPECT_EQ(mode.accelerator, "Flexible");
-  EXPECT_EQ(mode.model_version, library().versions[1].version);
-  EXPECT_DOUBLE_EQ(mode.fps, library().versions[1].fps_flexible);
-  EXPECT_THROW(StaticFlexiblePolicy(library(), 99), ConfigError);
-}
-
 TEST(FleetIntegration, ConfigureHookAttachesPerDeviceWorkloads) {
   const SceneTrace scene = test_scene();
   DetectionWorkload workload(scene, DetectorModel{}, 1234);

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <memory>
 #include <string>
 
@@ -249,6 +250,44 @@ TEST(Server, ZeroFpsSwitchTargetRejected) {
   OneSwitchPolicy policy(mode(700.0), action, 2.0);
   WorkloadTrace trace(constant_workload(10.0), 11);
   EXPECT_THROW(run_simulation(trace, policy, ServerConfig{}, 13), ConfigError);
+}
+
+/// run_simulation must reject \p config with a ConfigError naming \p field
+/// before the clock starts (a zero or NaN cadence would otherwise
+/// re-schedule itself at the same instant forever).
+void expect_rejected(const ServerConfig& config, const std::string& field) {
+  WorkloadTrace trace(constant_workload(1.0), 1);
+  StaticPolicy policy(mode(500.0));
+  try {
+    run_simulation(trace, policy, config, 1);
+    FAIL() << "expected ConfigError naming " << field;
+  } catch (const ConfigError& e) {
+    EXPECT_NE(std::string(e.what()).find(field), std::string::npos) << e.what();
+  }
+}
+
+TEST(ServerConfig, RejectsNonPositiveQueueCapacity) {
+  for (const std::int64_t capacity : {std::int64_t{0}, std::int64_t{-3}}) {
+    ServerConfig c;
+    c.queue_capacity = capacity;
+    expect_rejected(c, "queue_capacity");
+  }
+}
+
+TEST(ServerConfig, RejectsNonPositiveOrNonFinitePollInterval) {
+  for (const double interval : {0.0, -0.1, std::nan(""), HUGE_VAL}) {
+    ServerConfig c;
+    c.poll_interval_s = interval;
+    expect_rejected(c, "poll_interval_s");
+  }
+}
+
+TEST(ServerConfig, RejectsNonPositiveOrNonFiniteSampleInterval) {
+  for (const double interval : {0.0, -0.5, std::nan(""), HUGE_VAL}) {
+    ServerConfig c;
+    c.sample_interval_s = interval;
+    expect_rejected(c, "sample_interval_s");
+  }
 }
 
 }  // namespace

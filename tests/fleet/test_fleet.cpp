@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <string>
 #include <vector>
 
@@ -272,11 +273,18 @@ TEST(Fleet, InvalidConfigsAreRejectedWithTheDeviceNamed) {
   bad_ingress.devices = {pinned_device("ok", lib, 0)};
   bad_ingress.ingress_capacity = -1;
   EXPECT_THROW(run_fleet(trace, lib, bad_ingress, *router, 1), ConfigError);
-}
 
-TEST(Fleet, PinnedPolicyRejectsAnOutOfRangeVersion) {
-  const core::AcceleratorLibrary lib = core::synthetic_library(4);
-  EXPECT_THROW(PinnedPolicy(lib, 4), ConfigError);
+  FleetConfig bad_server;
+  bad_server.devices = {pinned_device("slow-poll", lib, 0)};
+  bad_server.devices[0].server.poll_interval_s = std::nan("");
+  try {
+    run_fleet(trace, lib, bad_server, *router, 1);
+    FAIL() << "expected ConfigError";
+  } catch (const ConfigError& e) {
+    const std::string msg = e.what();
+    EXPECT_NE(msg.find("slow-poll"), std::string::npos) << msg;
+    EXPECT_NE(msg.find("server.poll_interval_s"), std::string::npos) << msg;
+  }
 }
 
 }  // namespace

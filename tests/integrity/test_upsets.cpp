@@ -20,27 +20,11 @@ edge::WorkloadTrace steady_trace(double rate, double duration_s, std::uint64_t s
   return edge::WorkloadTrace(c, seed);
 }
 
-/// Serves the Flexible overlay on the top library version and never acts —
-/// the Flexible-side counterpart of PinnedPolicy, for cross-section tests.
-class FlexiblePinnedPolicy final : public edge::ServingPolicy {
- public:
-  explicit FlexiblePinnedPolicy(const core::AcceleratorLibrary& library) : library_(library) {}
-  edge::ServingMode initial_mode() override {
-    const core::ModelVersion& v = library_.versions.front();
-    edge::ServingMode mode;
-    mode.model_version = v.version;
-    mode.accelerator = "Flexible";
-    mode.fps = v.fps_flexible;
-    mode.accuracy = v.accuracy;
-    mode.power_busy_w = v.power_busy_flexible_w;
-    mode.power_idle_w = v.power_idle_flexible_w;
-    return mode;
-  }
-  std::optional<edge::SwitchAction> on_poll(double, double) override { return std::nullopt; }
-
- private:
-  const core::AcceleratorLibrary& library_;
-};
+/// The unpruned version on the Flexible overlay, never acting — for
+/// cross-section tests.
+std::unique_ptr<edge::ServingPolicy> flexible_pinned(const core::AcceleratorLibrary& lib) {
+  return std::make_unique<core::PinnedPolicy>(lib, 0, hls::AcceleratorVariant::kFlexible);
+}
 
 TEST(ConfigUpsetSchedule, RejectsBadSpecs) {
   EXPECT_THROW(faults::FaultInjector(faults::config_upset_storm(5.0, 1.0, 2.0), 7), ConfigError);
@@ -112,7 +96,7 @@ TEST(ConfigUpsets, FlexibleCrossSectionScalesThePenalty) {
   // bit is exposed, so the scheduled upsets never land — no corruption, no
   // wrong frames, nothing in the ledger.
   const edge::RunMetrics immune = run_integrity(
-      steady_trace(300.0, 20.0, 5), std::make_unique<FlexiblePinnedPolicy>(lib), lib, config,
+      steady_trace(300.0, 20.0, 5), flexible_pinned(lib), lib, config,
       faults::config_upset_storm(2.0, 20.0, 0.5, 0.08, /*flexible_cross_section=*/0.0), 5);
   EXPECT_EQ(immune.integrity.upsets_injected, 0);
   EXPECT_EQ(immune.integrity.wrong_frames, 0);
@@ -121,7 +105,7 @@ TEST(ConfigUpsets, FlexibleCrossSectionScalesThePenalty) {
   // Full cross-section: the same schedule corrupts the overlay like a Fixed
   // bitstream.
   const edge::RunMetrics exposed = run_integrity(
-      steady_trace(300.0, 20.0, 5), std::make_unique<FlexiblePinnedPolicy>(lib), lib, config,
+      steady_trace(300.0, 20.0, 5), flexible_pinned(lib), lib, config,
       faults::config_upset_storm(2.0, 20.0, 0.5, 0.08, /*flexible_cross_section=*/1.0), 5);
   EXPECT_GT(exposed.integrity.wrong_frames, 0);
 }

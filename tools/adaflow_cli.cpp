@@ -933,7 +933,7 @@ int cmd_detect(const std::vector<std::string>& args) {
   } else if (policy_name == "finn") {
     policy = std::make_unique<core::StaticFinnPolicy>(lib);
   } else if (policy_name == "flexible") {
-    policy = std::make_unique<detect::StaticFlexiblePolicy>(lib);
+    policy = std::make_unique<core::PinnedPolicy>(lib, 0, hls::AcceleratorVariant::kFlexible);
   } else {
     throw ConfigError("unknown policy '" + policy_name + "' (adaflow, finn, flexible)");
   }

@@ -4,8 +4,9 @@
 # src/dse, src/ingest, src/tenant, src/shard, src/graph and src/detect, the
 # fast suites again under
 # AddressSanitizer + UndefinedBehaviorSanitizer (ADAFLOW_SANITIZE=ON), the
-# concurrency-bearing suites under ThreadSanitizer (ADAFLOW_TSAN=ON), and a
-# bench smoke tier gated against the committed baselines in bench/baselines/.
+# concurrency-bearing suites under ThreadSanitizer (ADAFLOW_TSAN=ON), a
+# bench smoke tier gated against the committed baselines in bench/baselines/,
+# and the repository benchmark's self-test.
 #
 # Usage: tools/check.sh [jobs]
 set -euo pipefail
@@ -89,5 +90,12 @@ for b in fleet chaos forecast ingest tenant shard integrity detect; do
   python3 "$root/tools/bench_diff.py" \
     "$root/bench/baselines/BENCH_$b.json" "$bench_gate/BENCH_$b.json"
 done
+
+# perfbench/ is a separate CMake project that compiles src/ with its own
+# main program, so a signature change in src/ can break the repository benchmark
+# without failing any tier above; its smoke self-test builds it and runs
+# every workload once, untraced and traced.
+echo "== tier 5: repository benchmark self-test (perfbench/selftest.py) =="
+(cd "$root" && python3 perfbench/selftest.py)
 
 echo "== all checks passed =="
