@@ -1,11 +1,28 @@
 #include "adaflow/hls/accelerator.hpp"
 
 #include <algorithm>
+#include <string>
+#include <utility>
 
 #include "adaflow/common/error.hpp"
 #include "adaflow/nn/data.hpp"
 
 namespace adaflow::hls {
+
+namespace {
+
+/// The functional model has SWU/MVTU/MaxPool modules only; the graph IR's
+/// streaming plumbing stages (concat, upsample, global-pool) exist for the
+/// analytical models alone.
+[[noreturn]] void reject_stage(const StageDesc& desc) {
+  const char* kind = desc.kind == StageKind::kConcat     ? "concat"
+                     : desc.kind == StageKind::kUpsample ? "upsample"
+                                                         : "global-pool";
+  throw FoldingError("stage " + desc.name + " (" + kind +
+                     ") has no functional dataflow module");
+}
+
+}  // namespace
 
 std::int64_t InferenceStats::total_pipeline_iterations() const {
   std::int64_t total = 0;
@@ -41,12 +58,21 @@ DataflowAccelerator::DataflowAccelerator(AcceleratorVariant variant,
 
   std::size_t mvtu_ordinal = 0;
   for (const CompiledStage& stage : synthesis_.stages) {
-    if (stage.desc.kind == StageKind::kPool) {
-      pools_.emplace_back(variant_, stage.desc.ch_in, stage.desc.kernel);
-    } else {
-      const LayerFolding& f = folding_.layers[mvtu_ordinal++];
-      mvtus_.emplace_back(variant_, stage.desc.ch_in, stage.desc.ch_out, stage.desc.kernel,
-                          f.pe, f.simd);
+    switch (stage.desc.kind) {
+      case StageKind::kPool:
+        pools_.emplace_back(variant_, stage.desc.ch_in, stage.desc.kernel);
+        break;
+      case StageKind::kConv:
+      case StageKind::kFc: {
+        const LayerFolding& f = folding_.layers[mvtu_ordinal++];
+        mvtus_.emplace_back(variant_, stage.desc.ch_in, stage.desc.ch_out, stage.desc.kernel,
+                            f.pe, f.simd);
+        break;
+      }
+      case StageKind::kConcat:
+      case StageKind::kUpsample:
+      case StageKind::kGlobalPool:
+        reject_stage(stage.desc);
     }
   }
   load_model(synthesis_);
@@ -109,12 +135,16 @@ std::vector<float> DataflowAccelerator::infer_logits(const nn::Tensor& image) {
         WindowBuffer windows;
         windows.rows = fmap.size();
         windows.cols = 1;
-        windows.data.assign(fmap.data.begin(), fmap.data.end());
+        windows.data = std::move(fmap.data);
         require(windows.rows == stage.desc.ch_in, "fc input feature mismatch");
         fmap = mvtus_[m].run(windows, 1, 1, &stats_.mvtu_stages[m]);
         ++m;
         break;
       }
+      case StageKind::kConcat:
+      case StageKind::kUpsample:
+      case StageKind::kGlobalPool:
+        reject_stage(stage.desc);  // unreachable: the constructor refused it
     }
   }
 

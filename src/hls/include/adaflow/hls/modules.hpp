@@ -38,13 +38,16 @@ struct ModuleStats {
 };
 
 /// im2col-style window buffer: rows = kernel^2 * ch_in, cols = out_h * out_w.
+/// Stored pixel-major: the `rows` window elements of output pixel c are one
+/// contiguous run data[c * rows .. (c + 1) * rows), so the MVTU dot product
+/// streams a window at unit stride.
 struct WindowBuffer {
   std::int64_t rows = 0;
   std::int64_t cols = 0;
   std::vector<std::int32_t> data;
 
   std::int32_t at(std::int64_t r, std::int64_t c) const {
-    return data[static_cast<std::size_t>(r * cols + c)];
+    return data[static_cast<std::size_t>(c * rows + r)];
   }
 };
 
@@ -67,7 +70,10 @@ class SlidingWindowUnit {
   std::int64_t pad_;
 };
 
-/// Matrix-Vector-Threshold Unit with PE x SIMD folding.
+/// Matrix-Vector-Threshold Unit with PE x SIMD folding. The folding sets the
+/// pipeline-iteration count; the arithmetic is one contiguous 32-bit dot
+/// product per (pixel, neuron), exact because integer sums do not depend on
+/// order and run() refuses any input whose worst-case sum could overflow.
 class MatrixVectorThresholdUnit {
  public:
   /// \p capacity_* give the synthesized (worst-case) geometry; for the Fixed
@@ -82,7 +88,10 @@ class MatrixVectorThresholdUnit {
             ThresholdBank thresholds);
 
   /// Processes a window buffer into an output feature map of ch_out levels
-  /// (or raw accumulators when no thresholds are loaded).
+  /// (or raw accumulators when no thresholds are loaded). Throws
+  /// FoldingError when (largest per-neuron sum of |weight level|) *
+  /// (largest |window element|) exceeds INT32_MAX, i.e. when the 32-bit
+  /// accumulator could overflow.
   IntImage run(const WindowBuffer& windows, std::int64_t out_h, std::int64_t out_w,
                ModuleStats* stats) const;
 
@@ -102,6 +111,7 @@ class MatrixVectorThresholdUnit {
   std::int64_t ch_in_ = 0;   // runtime-controllable parameter
   std::int64_t ch_out_ = 0;  // runtime-controllable parameter
   std::vector<std::int8_t> weights_;
+  std::int64_t max_neuron_weight_sum_ = 0;  // max over neurons of sum |w|
   ThresholdBank thresholds_;
 };
 

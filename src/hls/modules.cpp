@@ -1,5 +1,10 @@
 #include "adaflow/hls/modules.hpp"
 
+#include <algorithm>
+#include <cstdlib>
+#include <limits>
+#include <string>
+
 #include "adaflow/common/error.hpp"
 #include "adaflow/common/math.hpp"
 
@@ -19,17 +24,18 @@ WindowBuffer SlidingWindowUnit::run(const IntImage& input, ModuleStats* stats) c
   buffer.cols = out_h * out_w;
   buffer.data.assign(static_cast<std::size_t>(buffer.rows * buffer.cols), 0);
 
-  std::int64_t row = 0;
-  for (std::int64_t c = 0; c < input.channels; ++c) {
-    for (std::int64_t kh = 0; kh < kernel_; ++kh) {
-      for (std::int64_t kw = 0; kw < kernel_; ++kw, ++row) {
-        for (std::int64_t oh = 0; oh < out_h; ++oh) {
+  // Each output pixel's [ch][kh][kw] window is one contiguous run.
+  std::int32_t* out = buffer.data.data();
+  for (std::int64_t oh = 0; oh < out_h; ++oh) {
+    for (std::int64_t ow = 0; ow < out_w; ++ow) {
+      for (std::int64_t c = 0; c < input.channels; ++c) {
+        for (std::int64_t kh = 0; kh < kernel_; ++kh) {
           const std::int64_t ih = oh * stride_ + kh - pad_;
-          for (std::int64_t ow = 0; ow < out_w; ++ow) {
+          for (std::int64_t kw = 0; kw < kernel_; ++kw, ++out) {
             const std::int64_t iw = ow * stride_ + kw - pad_;
-            const bool inside = ih >= 0 && ih < input.height && iw >= 0 && iw < input.width;
-            buffer.data[static_cast<std::size_t>(row * buffer.cols + oh * out_w + ow)] =
-                inside ? input.at(c, ih, iw) : 0;
+            if (ih >= 0 && ih < input.height && iw >= 0 && iw < input.width) {
+              *out = input.at(c, ih, iw);
+            }
           }
         }
       }
@@ -83,6 +89,16 @@ void MatrixVectorThresholdUnit::load(std::int64_t ch_in, std::int64_t ch_out,
     require(static_cast<std::int64_t>(thresholds.channels.size()) == ch_out,
             "MVTU threshold bank size mismatch");
   }
+  const std::int64_t synapse_rows = kernel_ * kernel_ * ch_in;
+  max_neuron_weight_sum_ = 0;
+  for (const std::int8_t* w_row = weights.data(); w_row != weights.data() + weights.size();
+       w_row += synapse_rows) {
+    std::int64_t sum = 0;
+    for (std::int64_t r = 0; r < synapse_rows; ++r) {
+      sum += std::abs(static_cast<std::int64_t>(w_row[r]));
+    }
+    max_neuron_weight_sum_ = std::max(max_neuron_weight_sum_, sum);
+  }
   ch_in_ = ch_in;
   ch_out_ = ch_out;
   weights_ = std::move(weights);
@@ -95,45 +111,40 @@ IntImage MatrixVectorThresholdUnit::run(const WindowBuffer& windows, std::int64_
   const std::int64_t synapse_rows = kernel_ * kernel_ * ch_in_;
   require(windows.rows == synapse_rows, "window buffer row mismatch");
   require(windows.cols == out_h * out_w, "window buffer col mismatch");
+  require(static_cast<std::int64_t>(windows.data.size()) == windows.rows * windows.cols,
+          "window buffer size mismatch");
 
-  const std::int64_t neuron_folds = ch_out_ / pe_;
-  const std::int64_t synapse_folds = synapse_rows / simd_;
+  // FINN's accumulator has a fixed width too: refuse, never wrap. Every
+  // partial sum is bounded by sum|w| * max|x|, so passing this check makes
+  // the 32-bit sums below exact.
+  std::int64_t max_abs_x = 0;
+  for (std::int32_t x : windows.data) {
+    max_abs_x = std::max(max_abs_x, std::abs(static_cast<std::int64_t>(x)));
+  }
+  constexpr std::int64_t kAccMax = std::numeric_limits<std::int32_t>::max();
+  if (max_abs_x > 0 && max_neuron_weight_sum_ > kAccMax / max_abs_x) {
+    throw FoldingError("MVTU accumulator overflow: max neuron sum|w| " +
+                       std::to_string(max_neuron_weight_sum_) + " * max|x| " +
+                       std::to_string(max_abs_x) + " exceeds the 32-bit accumulator");
+  }
 
   IntImage out(ch_out_, out_h, out_w);
-  std::vector<std::int64_t> acc(static_cast<std::size_t>(pe_), 0);
-
   for (std::int64_t px = 0; px < windows.cols; ++px) {
-    for (std::int64_t nf = 0; nf < neuron_folds; ++nf) {
-      for (auto& a : acc) {
-        a = 0;
+    const std::int32_t* x = windows.data.data() + px * synapse_rows;
+    for (std::int64_t neuron = 0; neuron < ch_out_; ++neuron) {
+      const std::int8_t* w_row = weights_.data() + neuron * synapse_rows;
+      std::int32_t acc = 0;
+      for (std::int64_t r = 0; r < synapse_rows; ++r) {
+        acc += static_cast<std::int32_t>(w_row[r]) * x[r];
       }
-      // Pipeline loop: one synapse fold per cycle; the PE x SIMD grid below
-      // is fully unrolled in hardware.
-      for (std::int64_t sf = 0; sf < synapse_folds; ++sf) {
-        for (std::int64_t p = 0; p < pe_; ++p) {
-          const std::int64_t neuron = nf * pe_ + p;
-          const std::int8_t* w_row = weights_.data() + neuron * synapse_rows;
-          std::int64_t partial = 0;
-          for (std::int64_t s = 0; s < simd_; ++s) {
-            const std::int64_t r = sf * simd_ + s;
-            partial += static_cast<std::int64_t>(w_row[r]) * windows.at(r, px);
-          }
-          acc[static_cast<std::size_t>(p)] += partial;
-        }
-        if (stats != nullptr) {
-          ++stats->pipeline_iterations;
-        }
-      }
-      for (std::int64_t p = 0; p < pe_; ++p) {
-        const std::int64_t neuron = nf * pe_ + p;
-        const std::int64_t a = acc[static_cast<std::size_t>(p)];
-        const std::int32_t value =
-            thresholds_.empty()
-                ? static_cast<std::int32_t>(a)
-                : thresholds_.apply(neuron, a);
-        out.data[static_cast<std::size_t>(neuron * windows.cols + px)] = value;
-      }
+      out.data[static_cast<std::size_t>(neuron * windows.cols + px)] =
+          thresholds_.empty() ? acc : thresholds_.apply(neuron, acc);
     }
+  }
+  if (stats != nullptr) {
+    // In hardware each (neuron fold, synapse fold) pair is one pipeline
+    // iteration; the PE x SIMD grid inside it is fully unrolled.
+    stats->pipeline_iterations += windows.cols * (ch_out_ / pe_) * (synapse_rows / simd_);
   }
   return out;
 }
@@ -172,13 +183,7 @@ IntImage MaxPoolUnit::run(const IntImage& input, ModuleStats* stats) const {
 
   for (std::int64_t oh = 0; oh < out_h; ++oh) {
     for (std::int64_t ow = 0; ow < out_w; ++ow) {
-      for (std::int64_t c = 0; c < unrolled; ++c) {
-        if (c >= channels_) {
-          if (stats != nullptr) {
-            ++stats->idle_unit_ops;
-          }
-          continue;  // unfed unit
-        }
+      for (std::int64_t c = 0; c < channels_; ++c) {
         std::int32_t best = input.at(c, oh * kernel_, ow * kernel_);
         for (std::int64_t kh = 0; kh < kernel_; ++kh) {
           for (std::int64_t kw = 0; kw < kernel_; ++kw) {
@@ -187,10 +192,11 @@ IntImage MaxPoolUnit::run(const IntImage& input, ModuleStats* stats) const {
         }
         out.at(c, oh, ow) = best;
       }
-      if (stats != nullptr) {
-        ++stats->pipeline_iterations;  // one window per cycle across units
-      }
     }
+  }
+  if (stats != nullptr) {
+    stats->pipeline_iterations += out_h * out_w;  // one window per cycle across units
+    stats->idle_unit_ops += out_h * out_w * (unrolled - channels_);  // unfed units
   }
   return out;
 }

@@ -15,6 +15,7 @@
 #include "adaflow/fpga/device.hpp"
 #include "adaflow/fpga/resources.hpp"
 #include "adaflow/graph/builders.hpp"
+#include "adaflow/hls/accelerator.hpp"
 #include "adaflow/hls/folding.hpp"
 #include "adaflow/nn/cnv.hpp"
 #include "adaflow/nn/mlp.hpp"
@@ -116,6 +117,30 @@ TEST(Lowering, BranchyGraphIsRejectedByLowerModelNamingTheNode) {
     EXPECT_TRUE(what.find("up") != std::string::npos ||
                 what.find("cat") != std::string::npos)
         << what;
+  }
+}
+
+TEST(Lowering, AcceleratorRejectsConcatStageNamingIt) {
+  // lower_geometry keeps branchy topologies for the analytical models, but
+  // the functional dataflow model has no concat module: the accelerator
+  // must refuse the stage instead of building an MVTU for it.
+  Graph g("fused", 3, 8);
+  const std::int64_t c0 = g.add_conv("c0", g.input(), 8, 3, 1, 1);
+  const std::int64_t c1 = g.add_conv("c1", c0, 8, 3, 1, 1);
+  g.add_concat("cat", {c0, c1});
+  const hls::CompiledModel geometry = lower_geometry(g);
+  ASSERT_EQ(geometry.stages.back().desc.kind, hls::StageKind::kConcat);
+  const hls::FoldingConfig folding =
+      hls::folding_for_target_fps(geometry, 100.0, fpga::zcu104().clock_hz);
+  for (hls::AcceleratorVariant variant :
+       {hls::AcceleratorVariant::kFixed, hls::AcceleratorVariant::kFlexible}) {
+    try {
+      hls::DataflowAccelerator accel(variant, geometry, folding);
+      FAIL() << "concat stage accepted";
+    } catch (const FoldingError& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("stage cat (concat)"), std::string::npos) << what;
+    }
   }
 }
 
