@@ -53,11 +53,11 @@ Summary evaluate(const core::AcceleratorLibrary& lib, const edge::WorkloadConfig
         edge::run_simulation(trace, policy, server, seed ^ 0x5bd1e995ULL, &injector);
     s.loss.add(m.frame_loss());
     s.qoe.add(m.qoe());
-    total.accumulate(m.faults);
+    sim::accumulate(total, m.faults);
     degraded += m.faults.degraded_fraction(m.duration_s);
     mttr += m.faults.mean_time_to_recovery_s();
   }
-  total.divide(runs);
+  sim::divide(total, runs);
   s.faults = total;
   s.degraded_fraction = degraded / runs;
   s.mttr_s = mttr / runs;

@@ -19,7 +19,6 @@
 /// run_simulation() drives exactly one device from a workload trace, while
 /// the fleet layer (src/fleet) drives N of them behind a dispatcher.
 
-#include <cmath>
 #include <concepts>
 #include <cstdint>
 #include <functional>
@@ -128,19 +127,12 @@ RepeatedRunResult run_repeated(TraceFactory&& trace_factory, PolicyFactory&& fac
   });
   for (int r = 0; r < runs; ++r) {
     RunMetrics& m = results[static_cast<std::size_t>(r)];
-    total.arrived += m.arrived;
-    total.processed += m.processed;
-    total.lost += m.lost;
-    total.qoe_accuracy_sum += m.qoe_accuracy_sum;
-    total.energy_j += m.energy_j;
+    sim::accumulate(total, m);
     total.duration_s += m.duration_s;
-    total.switch_stall_s += m.switch_stall_s;
-    total.violation_s += m.violation_s;
-    total.model_switches += m.model_switches;
-    total.reconfigurations += m.reconfigurations;
-    total.faults.accumulate(m.faults);
-    total.forecast.accumulate(m.forecast);
-    total.detection.accumulate(m.detection);
+    sim::accumulate(total.faults, m.faults);
+    sim::accumulate(total.forecast, m.forecast);
+    sim::accumulate(total.integrity, m.integrity);
+    sim::accumulate(total.detection, m.detection);
     if (r == 0) {
       total.switches = m.switches;  // representative first run (paper Fig. 6)
     }
@@ -169,23 +161,12 @@ RepeatedRunResult run_repeated(TraceFactory&& trace_factory, PolicyFactory&& fac
   // dividing numerators and denominators alike keeps the ratio accessors
   // (frame_loss, qoe, average_power_w) consistent with the pooled ratios up
   // to count rounding.
-  auto mean_count = [runs](std::int64_t v) {
-    return static_cast<std::int64_t>(
-        std::llround(static_cast<double>(v) / static_cast<double>(runs)));
-  };
-  total.arrived = mean_count(total.arrived);
-  total.processed = mean_count(total.processed);
-  total.lost = mean_count(total.lost);
-  total.qoe_accuracy_sum /= runs;
-  total.energy_j /= runs;
+  sim::divide(total, runs);
   total.duration_s /= runs;
-  total.switch_stall_s /= runs;
-  total.violation_s /= runs;
-  total.model_switches = static_cast<int>(mean_count(total.model_switches));
-  total.reconfigurations = static_cast<int>(mean_count(total.reconfigurations));
-  total.faults.divide(runs);
-  total.forecast.divide(runs);
-  total.detection.divide(runs);
+  sim::divide(total.faults, runs);
+  sim::divide(total.forecast, runs);
+  sim::divide(total.integrity, runs);
+  sim::divide(total.detection, runs);
   total.workload_series = sim::average_series(workload_s);
   total.loss_series = sim::average_series(loss_s);
   total.qoe_series = sim::average_series(qoe_s);

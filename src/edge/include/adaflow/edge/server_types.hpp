@@ -114,15 +114,27 @@ struct RunMetrics {
   /// Processed inferences per watt-second (per joule).
   double power_efficiency() const { return energy_j > 0 ? processed / energy_j : 0.0; }
 
+  /// The additive scalars' field list (see sim::FaultStats::for_each_field).
+  template <class F, class... S>
+  static void for_each_field(F&& f, S&... s) {
+    f(s.arrived...);
+    f(s.processed...);
+    f(s.lost...);
+    f(s.qoe_accuracy_sum...);
+    f(s.energy_j...);
+    f(s.switch_stall_s...);
+    f(s.violation_s...);
+    f(s.model_switches...);
+    f(s.reconfigurations...);
+  }
+
   /// Folds \p other — metrics of a DISJOINT device subset simulated over the
   /// same wall of time — into this one (the sharded engine's reduction).
-  /// Counters, energy, stall/violation time, fault/forecast/integrity stats,
-  /// and the e2e histogram add; duration takes the max; switch records concatenate in
-  /// call order; workload/power series merge element-wise additively,
-  /// loss/qoe series as the workload-weighted mean, forecast series
-  /// additively. A default-constructed RunMetrics is the identity, and the
-  /// integer state merges associatively (doubles to rounding) — see the
-  /// series-merge contract in sim/stats.hpp.
+  /// Listed fields, stats records and the e2e histogram add; duration takes
+  /// the max; switch records concatenate; loss/qoe series merge as the
+  /// workload-weighted mean, the other series additively. A
+  /// default-constructed RunMetrics is the identity, and the integer state
+  /// merges associatively (doubles to rounding; see sim/stats.hpp).
   void merge(const RunMetrics& other);
 };
 

@@ -16,21 +16,13 @@ void RunMetrics::merge(const RunMetrics& other) {
       sim::merge_sum_series(forecast_actual_series, other.forecast_actual_series);
   forecast_pred_series = sim::merge_sum_series(forecast_pred_series, other.forecast_pred_series);
 
-  arrived += other.arrived;
-  processed += other.processed;
-  lost += other.lost;
-  qoe_accuracy_sum += other.qoe_accuracy_sum;
-  energy_j += other.energy_j;
+  sim::accumulate(*this, other);
   duration_s = std::max(duration_s, other.duration_s);
-  switch_stall_s += other.switch_stall_s;
-  violation_s += other.violation_s;
-  model_switches += other.model_switches;
-  reconfigurations += other.reconfigurations;
   switches.insert(switches.end(), other.switches.begin(), other.switches.end());
-  faults.accumulate(other.faults);
-  forecast.accumulate(other.forecast);
-  integrity.accumulate(other.integrity);
-  detection.accumulate(other.detection);
+  sim::accumulate(faults, other.faults);
+  sim::accumulate(forecast, other.forecast);
+  sim::accumulate(integrity, other.integrity);
+  sim::accumulate(detection, other.detection);
   e2e_latency.merge(other.e2e_latency);
 }
 

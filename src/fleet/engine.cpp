@@ -729,9 +729,9 @@ FleetMetrics FleetEngine::finalize(double duration_s) {
     metrics_.energy_j += m.energy_j;
     metrics_.model_switches += m.model_switches;
     metrics_.reconfigurations += m.reconfigurations;
-    metrics_.faults.accumulate(m.faults);
-    metrics_.integrity.accumulate(m.integrity);
-    metrics_.detection.accumulate(m.detection);
+    sim::accumulate(metrics_.faults, m.faults);
+    sim::accumulate(metrics_.integrity, m.integrity);
+    sim::accumulate(metrics_.detection, m.detection);
     FleetDeviceResult result;
     result.name = config_.devices[i].name;
     result.queued_at_end = devices_[i]->queued();
@@ -746,9 +746,12 @@ FleetMetrics FleetEngine::finalize(double duration_s) {
   metrics_.processed -= metrics_.hedge_wasted;
   metrics_.qoe_accuracy_sum -= hedge_wasted_qoe_;
   metrics_.tail_latency_p95_s = sim::percentile(metrics_.backlog_series.values, 0.95);
+  // The fleet forecast is the coordinator's tracker, not a sum over devices:
+  // proactive devices keep their own forecast stats in their device rows.
   if (coord_tracker_.has_value()) {
     metrics_.forecast = coord_tracker_->stats();
   }
+  metrics_.check_conservation();
   return std::move(metrics_);
 }
 

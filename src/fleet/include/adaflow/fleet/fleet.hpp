@@ -146,6 +146,20 @@ struct TenantUsage {
   double qoe() const {
     return offered > 0 ? qoe_accuracy_sum / static_cast<double>(offered) : 0.0;
   }
+
+  /// The scalars' field list (see sim::FaultStats::for_each_field); name and
+  /// latency are handled where they are used.
+  template <class F, class... S>
+  static void for_each_field(F&& f, S&... s) {
+    f(s.offered...);
+    f(s.admitted...);
+    f(s.throttled...);
+    f(s.shed...);
+    f(s.delivered...);
+    f(s.lost...);
+    f(s.qoe_accuracy_sum...);
+    f(s.slo_violation_s...);
+  }
 };
 
 struct FleetDeviceResult {
@@ -197,7 +211,10 @@ struct FleetMetrics {
   sim::FaultStats faults;
 
   /// Quality of the coordinator's aggregate-rate forecast (all-zero unless
-  /// the coordinator runs with `predictive` set).
+  /// the coordinator runs with `predictive` set; summed over shards by
+  /// merge). Unlike faults/integrity/detection this is NOT a sum over
+  /// devices: a device's own proactive-policy forecast stats stay in
+  /// devices[i].metrics.forecast only.
   sim::ForecastStats forecast;
 
   /// Summed over devices: the silent-corruption ledger — config upsets that
@@ -222,6 +239,10 @@ struct FleetMetrics {
   std::vector<TenantUsage> tenants;
 
   std::int64_t lost() const { return ingress_lost + device_lost; }
+  /// Throws adaflow::Error unless
+  ///   arrived + redispatched == dispatched + ingress_lost + ingress_backlog,
+  /// naming every term. FleetEngine::finalize checks it on every fleet run.
+  void check_conservation() const;
   double frame_loss() const {
     return arrived > 0 ? static_cast<double>(lost()) / static_cast<double>(arrived) : 0.0;
   }
@@ -232,17 +253,38 @@ struct FleetMetrics {
   }
   double average_power_w() const { return duration_s > 0 ? energy_j / duration_s : 0.0; }
 
+  /// The additive counters' field list (see sim::FaultStats::for_each_field).
+  template <class F, class... S>
+  static void for_each_field(F&& f, S&... s) {
+    f(s.arrived...);
+    f(s.dispatched...);
+    f(s.ingress_lost...);
+    f(s.ingress_backlog...);
+    f(s.redispatched...);
+    f(s.hedged...);
+    f(s.hedge_wasted...);
+    f(s.quarantines...);
+    f(s.rejoins...);
+    f(s.processed...);
+    f(s.device_lost...);
+    f(s.qoe_accuracy_sum...);
+    f(s.energy_j...);
+    f(s.model_switches...);
+    f(s.reconfigurations...);
+    f(s.repartitions...);
+  }
+
   /// Folds \p other — the metrics of a DISJOINT shard of the fleet simulated
   /// over the same wall of time — into this one (the sharded engine's
-  /// reduction, run on the main thread in fixed shard order). Counters,
-  /// energy, fault/forecast stats, and the e2e histogram add; duration and
+  /// reduction, run on the main thread in fixed shard order). Listed
+  /// counters, stats records and the e2e histogram add; duration and
   /// tail_latency_p95_s take the max (each shard's p95 lower-bounds the
   /// union's, and the conservative-window engine reports the worst shard);
-  /// device results and tenant rows concatenate in call order; the workload
-  /// series merges additively, backlog as element-wise max, loss/qoe as the
-  /// workload-weighted mean. A default-constructed FleetMetrics is the
-  /// identity and the integer state merges associatively (doubles to
-  /// rounding) — the contract tests/shard/test_merge.cpp pins.
+  /// device and tenant rows concatenate; workload series add, backlog takes
+  /// the element-wise max, loss/qoe the workload-weighted mean. A
+  /// default-constructed FleetMetrics is the identity and the integer state
+  /// merges associatively (doubles to rounding) — the contract
+  /// tests/shard/test_merge.cpp pins.
   void merge(const FleetMetrics& other);
 };
 

@@ -88,11 +88,15 @@ ShardedMetrics run_sharded_fleet(const edge::WorkloadTrace& trace,
                                  const fleet::FleetConfig& config, const ShardConfig& shard,
                                  const std::string& router_name, std::uint64_t seed);
 
-/// FNV-1a digest over the merged metrics' full observable state — counters,
-/// double bit patterns, every series sample, the e2e histogram buckets, and
-/// the per-device results in order — rendered as 16 hex chars. Two runs are
-/// bit-identical exactly when their fingerprints match; the determinism
-/// tests and bench_shard compare these across thread counts.
+/// FNV-1a digest over the merged metrics' full observable state, rendered as
+/// 16 hex chars: every field of every for_each_field list (the fleet's
+/// additive counters, the four stats records, each device's RunMetrics, each
+/// tenant row) as integers or double bit patterns, the max-rule fields,
+/// every series sample, the histograms (count, sum, min, max, buckets), the
+/// switch records, and the per-device and per-tenant rows in order. Two runs
+/// are bit-identical exactly when their fingerprints match; the determinism
+/// tests and bench_shard compare these across thread counts, and
+/// tests/shard/test_merge.cpp checks that bumping any listed field moves it.
 std::string metrics_fingerprint(const fleet::FleetMetrics& m);
 
 }  // namespace adaflow::shard

@@ -2,14 +2,14 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <cstdio>
-#include <cstring>
+#include <initializer_list>
+#include <optional>
 #include <string>
+#include <type_traits>
 
 #include "adaflow/common/error.hpp"
 #include "adaflow/common/parallel.hpp"
-#include <optional>
 #include "adaflow/fleet/engine.hpp"
 #include "adaflow/fleet/routing.hpp"
 #include "adaflow/shard/mailbox.hpp"
@@ -254,18 +254,50 @@ struct Fnv {
       h = (h ^ b[i]) * 1099511628211ULL;
     }
   }
-  void i64(std::int64_t v) { bytes(&v, sizeof v); }
-  void f64(double v) {
-    std::uint64_t bits = 0;
-    std::memcpy(&bits, &v, sizeof bits);
-    bytes(&bits, sizeof bits);
+  /// One integer (widened to 64 bits) or double (its bit pattern).
+  template <class V>
+  void add(V v) {
+    const std::conditional_t<std::is_integral_v<V>, std::int64_t, double> w = v;
+    bytes(&w, sizeof w);
   }
-  void series(const sim::TimeSeries& s) {
-    f64(s.interval_s);
-    i64(static_cast<std::int64_t>(s.values.size()));
-    for (double v : s.values) {
-      f64(v);
+  void text(const std::string& s) {
+    add(s.size());
+    bytes(s.data(), s.size());
+  }
+  /// Every field of a record's for_each_field list, in list order.
+  template <class T>
+  void fields(const T& t) {
+    T::for_each_field([this](auto v) { add(v); }, t);
+  }
+  void series(std::initializer_list<const sim::TimeSeries*> list) {
+    for (const sim::TimeSeries* s : list) {
+      add(s->interval_s);
+      add(s->values.size());
+      for (double v : s->values) {
+        add(v);
+      }
     }
+  }
+  void histogram(const sim::LatencyHistogram& hist) {
+    add(hist.count());
+    add(hist.sum_s());
+    add(hist.min_s());
+    add(hist.max_s());
+    for (std::int64_t b : hist.buckets()) {
+      add(b);
+    }
+  }
+  /// The additive scalars, duration, stats records and e2e histogram that
+  /// RunMetrics and FleetMetrics share.
+  template <class M>
+  void metrics(const M& m) {
+    fields(m);
+    add(m.duration_s);
+    fields(m.faults);
+    fields(m.forecast);
+    fields(m.integrity);
+    fields(m.detection);
+    histogram(m.e2e_latency);
   }
 };
 
@@ -281,66 +313,33 @@ ShardedMetrics run_sharded_fleet(const edge::WorkloadTrace& trace,
 
 std::string metrics_fingerprint(const fleet::FleetMetrics& m) {
   Fnv f;
-  f.i64(m.arrived);
-  f.i64(m.dispatched);
-  f.i64(m.ingress_lost);
-  f.i64(m.ingress_backlog);
-  f.i64(m.redispatched);
-  f.i64(m.hedged);
-  f.i64(m.hedge_wasted);
-  f.i64(m.quarantines);
-  f.i64(m.rejoins);
-  f.i64(m.processed);
-  f.i64(m.device_lost);
-  f.f64(m.qoe_accuracy_sum);
-  f.f64(m.energy_j);
-  f.f64(m.duration_s);
-  f.i64(m.model_switches);
-  f.i64(m.reconfigurations);
-  f.i64(m.repartitions);
-  f.f64(m.tail_latency_p95_s);
-  f.series(m.workload_series);
-  f.series(m.loss_series);
-  f.series(m.qoe_series);
-  f.series(m.backlog_series);
-  f.i64(m.faults.total_injected());
-  f.i64(m.faults.stalls_recovered);
-  f.i64(m.faults.overload_sheds);
-  f.f64(m.faults.time_degraded_s);
-  f.i64(m.forecast.forecasts);
-  f.f64(m.forecast.abs_pct_error_sum);
-  f.i64(m.integrity.upsets_injected);
-  f.i64(m.integrity.wrong_frames);
-  f.i64(m.integrity.canaries_sent);
-  f.i64(m.integrity.canaries_failed);
-  f.i64(m.integrity.detections);
-  f.i64(m.integrity.false_alarms);
-  f.i64(m.integrity.scrubs);
-  f.i64(m.integrity.repairs);
-  f.f64(m.integrity.corrupt_time_s);
-  f.f64(m.integrity.detection_latency_sum_s);
-  f.i64(m.detection.frames_scored);
-  f.i64(m.detection.true_positives);
-  f.i64(m.detection.false_positives);
-  f.i64(m.detection.missed_objects);
-  f.i64(m.detection.nms_pairs_total);
-  f.f64(m.detection.map_proxy_sum);
-  f.f64(m.detection.postprocess_s);
-  f.i64(m.e2e_latency.count());
-  f.f64(m.e2e_latency.sum_s());
-  for (std::int64_t b : m.e2e_latency.buckets()) {
-    f.i64(b);
+  f.metrics(m);
+  f.add(m.tail_latency_p95_s);
+  f.series({&m.workload_series, &m.loss_series, &m.qoe_series, &m.backlog_series});
+  f.add(m.devices.size());
+  for (const fleet::FleetDeviceResult& d : m.devices) {
+    f.text(d.name);
+    f.metrics(d.metrics);
+    f.add(d.metrics.switches.size());
+    for (const edge::SwitchRecord& r : d.metrics.switches) {
+      f.add(r.time_s);
+      f.text(r.model_version);
+      f.text(r.accelerator);
+      f.add(r.reconfiguration);
+    }
+    f.series({&d.metrics.workload_series, &d.metrics.loss_series, &d.metrics.qoe_series,
+              &d.metrics.power_series, &d.metrics.forecast_actual_series,
+              &d.metrics.forecast_pred_series});
+    f.add(d.queued_at_end);
+    f.add(d.quarantines);
+    f.add(d.rejoins);
+    f.add(static_cast<int>(d.final_health));
   }
-  for (const auto& d : m.devices) {
-    f.bytes(d.name.data(), d.name.size());
-    f.i64(d.metrics.arrived);
-    f.i64(d.metrics.processed);
-    f.i64(d.metrics.lost);
-    f.f64(d.metrics.energy_j);
-    f.i64(d.queued_at_end);
-    f.i64(d.quarantines);
-    f.i64(static_cast<std::int64_t>(d.metrics.model_switches));
-    f.i64(static_cast<std::int64_t>(d.metrics.reconfigurations));
+  f.add(m.tenants.size());
+  for (const fleet::TenantUsage& t : m.tenants) {
+    f.text(t.name);
+    f.fields(t);
+    f.histogram(t.latency);
   }
   char buf[17];
   std::snprintf(buf, sizeof buf, "%016llx", static_cast<unsigned long long>(f.h));

@@ -1,13 +1,19 @@
 #pragma once
 
 /// \file stats.hpp
-/// Aggregation helpers for simulation outputs: running mean/stddev and
+/// Aggregation helpers for simulation outputs: running mean/stddev,
 /// fixed-interval time series (the paper's per-interval frame-loss / QoE
-/// curves).
+/// curves), and the metrics records whose field lists drive every per-field
+/// operation (accumulate, divide, equality, the replay fingerprint).
 
 #include <array>
+#include <cmath>
+#include <cstddef>
 #include <cstdint>
+#include <type_traits>
 #include <vector>
+
+#include "adaflow/common/error.hpp"
 
 namespace adaflow::sim {
 
@@ -172,9 +178,34 @@ struct FaultStats {
     return recoveries > 0 ? recovery_time_sum_s / static_cast<double>(recoveries) : 0.0;
   }
 
-  void accumulate(const FaultStats& other);
-  /// In-place mean over \p runs (counts rounded to nearest).
-  void divide(int runs);
+  /// The field list: calls f(s.field...) once per field, in declaration
+  /// order. Every per-field operation (accumulate, divide, the replay
+  /// fingerprint) derives from it, so a field added here is covered by all.
+  template <class F, class... S>
+  static constexpr void for_each_field(F&& f, S&... s) {
+    f(s.reconfig_failures_injected...);
+    f(s.reconfig_slowdowns_injected...);
+    f(s.monitor_dropouts...);
+    f(s.monitor_noise_events...);
+    f(s.stalls_injected...);
+    f(s.burst_windows...);
+    f(s.device_crashes...);
+    f(s.device_hangs...);
+    f(s.degrade_windows...);
+    f(s.network_outage_drops...);
+    f(s.decode_faults_injected...);
+    f(s.switch_failures...);
+    f(s.switch_timeouts...);
+    f(s.switch_retries...);
+    f(s.fallbacks...);
+    f(s.switches_abandoned...);
+    f(s.stalls_recovered...);
+    f(s.overload_sheds...);
+    f(s.time_degraded_s...);
+    f(s.recovery_time_sum_s...);
+    f(s.recoveries...);
+  }
+  bool operator==(const FaultStats&) const = default;
 };
 
 /// Silent-data-corruption observability of one simulated run (src/integrity):
@@ -212,9 +243,21 @@ struct IntegrityStats {
     return detections > 0 ? detection_latency_sum_s / static_cast<double>(detections) : 0.0;
   }
 
-  void accumulate(const IntegrityStats& other);
-  /// In-place mean over \p runs (counts rounded to nearest).
-  void divide(int runs);
+  /// The field list (see FaultStats::for_each_field).
+  template <class F, class... S>
+  static constexpr void for_each_field(F&& f, S&... s) {
+    f(s.upsets_injected...);
+    f(s.wrong_frames...);
+    f(s.corrupt_time_s...);
+    f(s.canaries_sent...);
+    f(s.canaries_failed...);
+    f(s.detections...);
+    f(s.false_alarms...);
+    f(s.detection_latency_sum_s...);
+    f(s.scrubs...);
+    f(s.repairs...);
+  }
+  bool operator==(const IntegrityStats&) const = default;
 };
 
 /// Forecast quality of one simulated run: how well the workload forecaster
@@ -238,9 +281,16 @@ struct ForecastStats {
                          : 0.0;
   }
 
-  void accumulate(const ForecastStats& other);
-  /// In-place mean over \p runs (counts rounded to nearest).
-  void divide(int runs);
+  /// The field list (see FaultStats::for_each_field).
+  template <class F, class... S>
+  static constexpr void for_each_field(F&& f, S&... s) {
+    f(s.forecasts...);
+    f(s.abs_pct_error_sum...);
+    f(s.interval_hits...);
+    f(s.changepoints...);
+    f(s.burst_windows...);
+  }
+  bool operator==(const ForecastStats&) const = default;
 };
 
 /// Observability for detection workloads (src/detect): per-frame outcomes of
@@ -275,9 +325,67 @@ struct DetectionStats {
                              : 0.0;
   }
 
-  void accumulate(const DetectionStats& other);
-  /// In-place mean over \p runs (counts rounded to nearest).
-  void divide(int runs);
+  /// The field list (see FaultStats::for_each_field).
+  template <class F, class... S>
+  static constexpr void for_each_field(F&& f, S&... s) {
+    f(s.frames_scored...);
+    f(s.objects_total...);
+    f(s.candidates_total...);
+    f(s.suppressed_total...);
+    f(s.nms_pairs_total...);
+    f(s.true_positives...);
+    f(s.false_positives...);
+    f(s.missed_objects...);
+    f(s.postprocess_s...);
+    f(s.map_proxy_sum...);
+  }
+  bool operator==(const DetectionStats&) const = default;
 };
+
+// --- operations derived from a record's for_each_field list (the stats
+// structs above; the additive scalars of RunMetrics, FleetMetrics, TenantUsage)
+
+/// Number of fields in T's list.
+template <class T>
+constexpr std::size_t field_count() {
+  T t{};
+  std::size_t n = 0;
+  T::for_each_field([&n](const auto&) { ++n; }, t);
+  return n;
+}
+
+/// Adds every listed field of \p from into \p into, field by field in list
+/// order (floating-point sums stay per field, so results are reproducible).
+template <class T>
+void accumulate(T& into, const T& from) {
+  T::for_each_field([](auto& a, const auto& b) { a += b; }, into, from);
+}
+
+/// True when every listed field of \p a equals its counterpart in \p b
+/// (doubles compared exactly: the bit-identical-replay check).
+template <class T>
+bool fields_equal(const T& a, const T& b) {
+  bool equal = true;
+  T::for_each_field([&equal](const auto& x, const auto& y) { equal = equal && x == y; }, a, b);
+  return equal;
+}
+
+/// In-place mean over \p runs: integer fields become llround(v / runs)
+/// (nearest, halves away from zero), floating-point fields v / runs.
+template <class T>
+void divide(T& t, int runs) {
+  require(runs > 0, "divide needs runs > 0");
+  const double n = static_cast<double>(runs);
+  T::for_each_field(
+      [n](auto& v) {
+        using V = std::remove_reference_t<decltype(v)>;
+        if constexpr (std::is_integral_v<V>) {
+          v = static_cast<V>(std::llround(static_cast<double>(v) / n));
+        } else {
+          v /= n;
+        }
+      },
+      t);
+}
 
 }  // namespace adaflow::sim

@@ -105,7 +105,8 @@ struct MultiTenantMetrics {
   sim::ForecastStats forecast;        ///< pooled per-tenant tracker quality
 
   /// Bit-identical-replay comparison over every per-tenant counter,
-  /// violation clock, latency histogram, and the fleet totals.
+  /// violation clock, latency histogram, the fleet totals, and the pooled
+  /// forecast stats.
   bool identical(const MultiTenantMetrics& other) const;
 };
 

@@ -63,8 +63,7 @@ TEST(RunDetection, SameSeedReplaysBitIdentically) {
   EXPECT_EQ(x.arrived, y.arrived);
   EXPECT_EQ(x.processed, y.processed);
   EXPECT_EQ(x.model_switches, y.model_switches);
-  EXPECT_EQ(x.detection.nms_pairs_total, y.detection.nms_pairs_total);
-  EXPECT_DOUBLE_EQ(x.detection.map_proxy_sum, y.detection.map_proxy_sum);
+  EXPECT_EQ(x.detection, y.detection);
   EXPECT_DOUBLE_EQ(x.qoe_accuracy_sum, y.qoe_accuracy_sum);
 }
 
@@ -107,9 +106,7 @@ TEST(FleetIntegration, ConfigureHookAttachesPerDeviceWorkloads) {
   // Same config + seed replays bit-identically even with the hooks installed.
   const fleet::FleetMetrics again = run_once();
   EXPECT_EQ(again.processed, m.processed);
-  EXPECT_EQ(again.detection.frames_scored, m.detection.frames_scored);
-  EXPECT_EQ(again.detection.nms_pairs_total, m.detection.nms_pairs_total);
-  EXPECT_DOUBLE_EQ(again.detection.map_proxy_sum, m.detection.map_proxy_sum);
+  EXPECT_EQ(again.detection, m.detection);
 }
 
 }  // namespace

@@ -82,25 +82,6 @@ core::AcceleratorLibrary replay_library() {
   return lib;
 }
 
-void expect_fault_stats_equal(const sim::FaultStats& a, const sim::FaultStats& b) {
-  EXPECT_EQ(a.reconfig_failures_injected, b.reconfig_failures_injected);
-  EXPECT_EQ(a.reconfig_slowdowns_injected, b.reconfig_slowdowns_injected);
-  EXPECT_EQ(a.monitor_dropouts, b.monitor_dropouts);
-  EXPECT_EQ(a.monitor_noise_events, b.monitor_noise_events);
-  EXPECT_EQ(a.stalls_injected, b.stalls_injected);
-  EXPECT_EQ(a.burst_windows, b.burst_windows);
-  EXPECT_EQ(a.switch_failures, b.switch_failures);
-  EXPECT_EQ(a.switch_timeouts, b.switch_timeouts);
-  EXPECT_EQ(a.switch_retries, b.switch_retries);
-  EXPECT_EQ(a.fallbacks, b.fallbacks);
-  EXPECT_EQ(a.switches_abandoned, b.switches_abandoned);
-  EXPECT_EQ(a.stalls_recovered, b.stalls_recovered);
-  EXPECT_EQ(a.overload_sheds, b.overload_sheds);
-  EXPECT_DOUBLE_EQ(a.time_degraded_s, b.time_degraded_s);
-  EXPECT_DOUBLE_EQ(a.recovery_time_sum_s, b.recovery_time_sum_s);
-  EXPECT_EQ(a.recoveries, b.recoveries);
-}
-
 TEST(Determinism, FaultReplayIsBitIdentical) {
   // Acceptance: the same (FaultInjector seed, schedule) pair yields
   // bit-identical RunMetrics across two runs, including every fault counter.
@@ -132,7 +113,7 @@ TEST(Determinism, FaultReplayIsBitIdentical) {
   }
   EXPECT_EQ(a.loss_series.values, b.loss_series.values);
   EXPECT_EQ(a.qoe_series.values, b.qoe_series.values);
-  expect_fault_stats_equal(a.faults, b.faults);
+  EXPECT_EQ(a.faults, b.faults);
 }
 
 TEST(Determinism, DifferentInjectorSeedsDiverge) {

@@ -243,7 +243,7 @@ TEST(FaultTolerance, DeviceWindowsReplayBitIdentically) {
   EXPECT_EQ(a.processed, b.processed);
   EXPECT_EQ(a.lost, b.lost);
   EXPECT_DOUBLE_EQ(a.energy_j, b.energy_j);
-  EXPECT_EQ(a.faults.device_crashes, b.faults.device_crashes);
+  EXPECT_EQ(a.faults, b.faults);
 }
 
 TEST(FaultTolerance, FaultFreeInjectorMatchesNoInjector) {

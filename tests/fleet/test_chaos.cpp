@@ -157,7 +157,7 @@ TEST(Chaos, ReplayWithSameSeedIsBitIdenticalIncludingResilienceCounters) {
   EXPECT_EQ(a.qoe_accuracy_sum, b.qoe_accuracy_sum);  // bit-exact, not approx
   EXPECT_EQ(a.energy_j, b.energy_j);
   EXPECT_EQ(a.tail_latency_p95_s, b.tail_latency_p95_s);
-  EXPECT_EQ(a.faults.device_crashes, b.faults.device_crashes);
+  EXPECT_EQ(a.faults, b.faults);
   ASSERT_EQ(a.devices.size(), b.devices.size());
   for (std::size_t i = 0; i < a.devices.size(); ++i) {
     EXPECT_EQ(a.devices[i].metrics.processed, b.devices[i].metrics.processed) << i;
@@ -213,15 +213,9 @@ TEST(Chaos, FaultStatsAggregationSumsPerDeviceCountersIncludingDeviceClasses) {
   const FleetMetrics m = run(trace, lib, config, 99);
   sim::FaultStats sum;
   for (const FleetDeviceResult& d : m.devices) {
-    sum.accumulate(d.metrics.faults);
+    sim::accumulate(sum, d.metrics.faults);
   }
-  EXPECT_EQ(sum.device_crashes, m.faults.device_crashes);
-  EXPECT_EQ(sum.device_hangs, m.faults.device_hangs);
-  EXPECT_EQ(sum.degrade_windows, m.faults.degrade_windows);
-  EXPECT_EQ(sum.reconfig_failures_injected, m.faults.reconfig_failures_injected);
-  EXPECT_EQ(sum.stalls_injected, m.faults.stalls_injected);
-  EXPECT_EQ(sum.monitor_dropouts, m.faults.monitor_dropouts);
-  EXPECT_EQ(sum.total_injected(), m.faults.total_injected());
+  EXPECT_EQ(sum, m.faults);
   EXPECT_EQ(m.faults.device_crashes, 1);
   EXPECT_EQ(m.faults.device_hangs, 1);
   EXPECT_EQ(m.faults.degrade_windows, 1);

@@ -57,6 +57,47 @@ TEST(Fleet, FrameConservationAcrossDispatcherAndDevices) {
   EXPECT_EQ(m.devices[2].name, "dev2");
 }
 
+TEST(Fleet, ConservationCheckNamesEveryTermOfTheIdentity) {
+  FleetMetrics m;
+  m.arrived = 100;
+  m.redispatched = 5;
+  m.dispatched = 90;
+  m.ingress_lost = 10;
+  m.ingress_backlog = 5;
+  EXPECT_NO_THROW(m.check_conservation());
+  m.ingress_lost = 9;  // one frame vanished
+  try {
+    m.check_conservation();
+    FAIL() << "a doctored ledger passed the conservation check";
+  } catch (const Error& e) {
+    const std::string what = e.what();
+    for (const char* term : {"arrived=100", "redispatched=5", "dispatched=90", "ingress_lost=9",
+                             "ingress_backlog=5"}) {
+      EXPECT_NE(what.find(term), std::string::npos) << what;
+    }
+  }
+}
+
+TEST(Fleet, FleetForecastIsTheCoordinatorsNotASumOverDevices) {
+  // Proactive devices score their own forecasts, but the fleet-level
+  // ForecastStats is the coordinator's tracker: with no predictive
+  // coordinator it stays all-zero while the device rows carry the scores.
+  const core::AcceleratorLibrary lib = core::synthetic_library();
+  FleetConfig config;
+  config.devices = homogeneous_devices(lib, core::RuntimeManagerConfig{}, 3,
+                                       core::PolicyKind::kProactive);
+  config.coordinator.enabled = true;  // predictive stays off
+  edge::WorkloadTrace trace(bursty_workload(1200.0, 15.0), 3);
+  auto router = make_router("least-loaded");
+  const FleetMetrics m = run_fleet(trace, lib, config, *router, 42);
+  EXPECT_EQ(m.forecast, sim::ForecastStats{});
+  std::int64_t device_forecasts = 0;
+  for (const FleetDeviceResult& d : m.devices) {
+    device_forecasts += d.metrics.forecast.forecasts;
+  }
+  EXPECT_GT(device_forecasts, 0);
+}
+
 TEST(Fleet, SeriesLengthsMatchDurationAndCadence) {
   const core::AcceleratorLibrary lib = core::synthetic_library();
   FleetConfig config;

@@ -112,15 +112,7 @@ TEST(FleetIntegrity, StormReplayIsBitIdentical) {
   EXPECT_EQ(a.processed, b.processed);
   EXPECT_EQ(a.qoe_accuracy_sum, b.qoe_accuracy_sum);  // bit-exact, not approx
   EXPECT_EQ(a.quarantines, b.quarantines);
-  EXPECT_EQ(a.integrity.upsets_injected, b.integrity.upsets_injected);
-  EXPECT_EQ(a.integrity.wrong_frames, b.integrity.wrong_frames);
-  EXPECT_EQ(a.integrity.canaries_sent, b.integrity.canaries_sent);
-  EXPECT_EQ(a.integrity.canaries_failed, b.integrity.canaries_failed);
-  EXPECT_EQ(a.integrity.detections, b.integrity.detections);
-  EXPECT_EQ(a.integrity.false_alarms, b.integrity.false_alarms);
-  EXPECT_EQ(a.integrity.repairs, b.integrity.repairs);
-  EXPECT_EQ(a.integrity.corrupt_time_s, b.integrity.corrupt_time_s);
-  EXPECT_EQ(a.integrity.detection_latency_sum_s, b.integrity.detection_latency_sum_s);
+  EXPECT_EQ(a.integrity, b.integrity);
 }
 
 TEST(FleetIntegrity, StatsAccumulateAndDivideRoundTrip) {
@@ -137,8 +129,8 @@ TEST(FleetIntegrity, StatsAccumulateAndDivideRoundTrip) {
   a.repairs = 5;
 
   sim::IntegrityStats sum;
-  sum.accumulate(a);
-  sum.accumulate(a);
+  sim::accumulate(sum, a);
+  sim::accumulate(sum, a);
   EXPECT_EQ(sum.upsets_injected, 12);
   EXPECT_EQ(sum.wrong_frames, 240);
   EXPECT_DOUBLE_EQ(sum.corrupt_time_s, 7.0);
@@ -150,11 +142,8 @@ TEST(FleetIntegrity, StatsAccumulateAndDivideRoundTrip) {
   EXPECT_EQ(sum.scrubs, 8);
   EXPECT_EQ(sum.repairs, 10);
 
-  sum.divide(2);
-  EXPECT_EQ(sum.upsets_injected, a.upsets_injected);
-  EXPECT_EQ(sum.wrong_frames, a.wrong_frames);
-  EXPECT_DOUBLE_EQ(sum.corrupt_time_s, a.corrupt_time_s);
-  EXPECT_EQ(sum.repairs, a.repairs);
+  sim::divide(sum, 2);
+  EXPECT_EQ(sum, a);
   EXPECT_DOUBLE_EQ(sum.wrong_fraction(240), 0.5);
   EXPECT_DOUBLE_EQ(sum.canary_overhead(400), 0.1);
   EXPECT_DOUBLE_EQ(sum.mean_detection_latency_s(), 0.4);

@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <string>
 #include <vector>
 
+#include "adaflow/common/error.hpp"
 #include "adaflow/edge/server_types.hpp"
 #include "adaflow/fleet/fleet.hpp"
 #include "adaflow/shard/sharded_engine.hpp"
@@ -241,6 +244,179 @@ TEST(FleetMetricsMerge, IdentityAssociativityAndWorstOfSemantics) {
   // Flow conservation survives the merge.
   EXPECT_EQ(left.arrived + left.redispatched,
             left.dispatched + left.ingress_lost + left.ingress_backlog);
+}
+
+// --- field lists and the operations derived from them -----------------------
+
+// A field missing from a stats struct's list fails the build: every field is
+// 8 bytes wide, so the list must account for the whole struct.
+static_assert(sim::field_count<sim::FaultStats>() * 8 == sizeof(sim::FaultStats));
+static_assert(sim::field_count<sim::IntegrityStats>() * 8 == sizeof(sim::IntegrityStats));
+static_assert(sim::field_count<sim::ForecastStats>() * 8 == sizeof(sim::ForecastStats));
+static_assert(sim::field_count<sim::DetectionStats>() * 8 == sizeof(sim::DetectionStats));
+static_assert(sim::field_count<sim::FaultStats>() + sim::field_count<sim::IntegrityStats>() +
+                  sim::field_count<sim::ForecastStats>() +
+                  sim::field_count<sim::DetectionStats>() ==
+              46);
+
+TEST(FieldLists, CountTheAdditiveScalars) {
+  EXPECT_EQ(sim::field_count<edge::RunMetrics>(), 9u);
+  EXPECT_EQ(sim::field_count<fleet::FleetMetrics>(), 16u);
+  EXPECT_EQ(sim::field_count<fleet::TenantUsage>(), 8u);
+}
+
+TEST(FieldLists, DivideRoundsCountsHalfAwayFromZeroAndDividesDoublesExactly) {
+  sim::ForecastStats s;
+  s.forecasts = 5;           // 2.5 -> 3
+  s.abs_pct_error_sum = 1.0;
+  s.interval_hits = 7;       // 3.5 -> 4
+  s.changepoints = -5;       // -2.5 -> -3
+  s.burst_windows = 1;       // 0.5 -> 1
+  sim::divide(s, 2);
+  EXPECT_EQ(s.forecasts, 3);
+  EXPECT_EQ(s.abs_pct_error_sum, 0.5);
+  EXPECT_EQ(s.interval_hits, 4);
+  EXPECT_EQ(s.changepoints, -3);
+  EXPECT_EQ(s.burst_windows, 1);
+
+  sim::FaultStats f;
+  f.switch_retries = 4;  // 4/3 = 1.33 -> 1
+  f.fallbacks = 5;       // 5/3 = 1.67 -> 2
+  f.time_degraded_s = 1.0;
+  sim::divide(f, 3);
+  EXPECT_EQ(f.switch_retries, 1);
+  EXPECT_EQ(f.fallbacks, 2);
+  EXPECT_EQ(f.time_degraded_s, 1.0 / 3.0);  // bit-exact, not approx
+
+  // int fields (RunMetrics' switch counters) round the same way.
+  edge::RunMetrics m;
+  m.model_switches = 5;
+  m.reconfigurations = 3;
+  m.energy_j = 7.0;
+  sim::divide(m, 2);
+  EXPECT_EQ(m.model_switches, 3);
+  EXPECT_EQ(m.reconfigurations, 2);
+  EXPECT_EQ(m.energy_j, 3.5);
+  EXPECT_THROW(sim::divide(f, 0), ConfigError);
+}
+
+TEST(FieldLists, AccumulateAddsEveryFieldAndEqualityComparesEveryField) {
+  sim::DetectionStats a;
+  std::int64_t k = 0;
+  sim::DetectionStats::for_each_field([&k](auto& v) { v += ++k; }, a);
+  sim::DetectionStats sum;
+  sim::accumulate(sum, a);
+  sim::accumulate(sum, a);
+  k = 0;
+  sim::DetectionStats::for_each_field([&k](const auto& v) { EXPECT_EQ(v, 2 * ++k); }, sum);
+  sim::divide(sum, 2);
+  EXPECT_EQ(sum, a);
+  sum.postprocess_s += 1.0;
+  EXPECT_NE(sum, a);
+  EXPECT_FALSE(sim::fields_equal(sum, a));
+}
+
+/// Adds 1 to field \p i of \p t's for_each_field list.
+template <class T>
+void bump_field(T& t, std::size_t i) {
+  std::size_t k = 0;
+  T::for_each_field([&](auto& v) { v += (k++ == i) ? 1 : 0; }, t);
+}
+
+/// A fleet run with every part of the fingerprinted state non-trivial: a
+/// device row, a tenant row, switch records and all histograms.
+fleet::FleetMetrics fingerprint_fixture() {
+  fleet::FleetMetrics m = sample_fleet_metrics(2);
+  m.e2e_latency.record(0.25);
+  m.devices[0].metrics.switches.push_back(edge::SwitchRecord{1.5, "M@p50", "Fixed", true});
+  m.devices[0].metrics.forecast_actual_series = series({100.0});
+  m.devices[0].metrics.forecast_pred_series = series({90.0});
+  fleet::TenantUsage t;
+  t.name = "gold";
+  t.latency.record(0.03125);
+  m.tenants.push_back(t);
+  return m;
+}
+
+/// Asserts that bumping any field of the record \p get selects moves the
+/// fingerprint.
+template <class T>
+void expect_every_field_hashed(const std::string& what,
+                               const std::function<T&(fleet::FleetMetrics&)>& get) {
+  const fleet::FleetMetrics base = fingerprint_fixture();
+  const std::string ref = shard::metrics_fingerprint(base);
+  for (std::size_t i = 0; i < sim::field_count<T>(); ++i) {
+    fleet::FleetMetrics m = base;
+    bump_field(get(m), i);
+    EXPECT_NE(shard::metrics_fingerprint(m), ref) << what << " field " << i;
+  }
+}
+
+TEST(MetricsFingerprint, EveryListedFieldMovesIt) {
+  using FM = fleet::FleetMetrics;
+  expect_every_field_hashed<FM>("fleet", [](FM& m) -> FM& { return m; });
+  expect_every_field_hashed<sim::FaultStats>("fleet faults",
+                                             [](FM& m) -> auto& { return m.faults; });
+  expect_every_field_hashed<sim::ForecastStats>("fleet forecast",
+                                                [](FM& m) -> auto& { return m.forecast; });
+  expect_every_field_hashed<sim::IntegrityStats>("fleet integrity",
+                                                 [](FM& m) -> auto& { return m.integrity; });
+  expect_every_field_hashed<sim::DetectionStats>("fleet detection",
+                                                 [](FM& m) -> auto& { return m.detection; });
+  expect_every_field_hashed<edge::RunMetrics>(
+      "device", [](FM& m) -> auto& { return m.devices[0].metrics; });
+  expect_every_field_hashed<sim::FaultStats>(
+      "device faults", [](FM& m) -> auto& { return m.devices[0].metrics.faults; });
+  expect_every_field_hashed<sim::ForecastStats>(
+      "device forecast", [](FM& m) -> auto& { return m.devices[0].metrics.forecast; });
+  expect_every_field_hashed<sim::IntegrityStats>(
+      "device integrity", [](FM& m) -> auto& { return m.devices[0].metrics.integrity; });
+  expect_every_field_hashed<sim::DetectionStats>(
+      "device detection", [](FM& m) -> auto& { return m.devices[0].metrics.detection; });
+  expect_every_field_hashed<fleet::TenantUsage>("tenant",
+                                                [](FM& m) -> auto& { return m.tenants[0]; });
+}
+
+TEST(MetricsFingerprint, EveryRuleFieldMovesIt) {
+  // The fields outside the lists: max-rule scalars, series, histograms,
+  // switch records, names, and the per-row extras.
+  const std::vector<std::pair<std::string, std::function<void(fleet::FleetMetrics&)>>> edits = {
+      {"duration_s", [](auto& m) { m.duration_s += 1.0; }},
+      {"tail_latency_p95_s", [](auto& m) { m.tail_latency_p95_s += 1.0; }},
+      {"backlog_series", [](auto& m) { m.backlog_series.values[0] += 1.0; }},
+      {"qoe_series interval", [](auto& m) { m.qoe_series.interval_s = 1.0; }},
+      {"e2e max", [](auto& m) { m.e2e_latency.record(9.0); }},
+      {"device name", [](auto& m) { m.devices[0].name = "other"; }},
+      {"device duration_s", [](auto& m) { m.devices[0].metrics.duration_s += 1.0; }},
+      {"device power_series", [](auto& m) { m.devices[0].metrics.power_series.values[0] += 1.0; }},
+      {"device forecast_pred_series",
+       [](auto& m) { m.devices[0].metrics.forecast_pred_series.values[0] += 1.0; }},
+      {"device switch time",
+       [](auto& m) { m.devices[0].metrics.switches[0].time_s += 1.0; }},
+      {"device switch version",
+       [](auto& m) { m.devices[0].metrics.switches[0].model_version = "M@p25"; }},
+      {"device switch accelerator",
+       [](auto& m) { m.devices[0].metrics.switches[0].accelerator = "Flexible"; }},
+      {"device switch reconfiguration",
+       [](auto& m) { m.devices[0].metrics.switches[0].reconfiguration = false; }},
+      {"device e2e", [](auto& m) { m.devices[0].metrics.e2e_latency.record(0.5); }},
+      {"device queued_at_end", [](auto& m) { m.devices[0].queued_at_end += 1; }},
+      {"device quarantines", [](auto& m) { m.devices[0].quarantines += 1; }},
+      {"device rejoins", [](auto& m) { m.devices[0].rejoins += 1; }},
+      {"device final_health",
+       [](auto& m) { m.devices[0].final_health = fleet::HealthState::kQuarantined; }},
+      {"tenant name", [](auto& m) { m.tenants[0].name = "silver"; }},
+      {"tenant latency", [](auto& m) { m.tenants[0].latency.record(0.5); }},
+      {"extra device row", [](auto& m) { m.devices.emplace_back(); }},
+      {"extra tenant row", [](auto& m) { m.tenants.emplace_back(); }},
+  };
+  const fleet::FleetMetrics base = fingerprint_fixture();
+  const std::string ref = shard::metrics_fingerprint(base);
+  for (const auto& [what, edit] : edits) {
+    fleet::FleetMetrics m = base;
+    edit(m);
+    EXPECT_NE(shard::metrics_fingerprint(m), ref) << what;
+  }
 }
 
 }  // namespace
