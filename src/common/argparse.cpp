@@ -1,8 +1,10 @@
 #include "adaflow/common/argparse.hpp"
 
+#include <algorithm>
 #include <cstdlib>
 
 #include "adaflow/common/error.hpp"
+#include "adaflow/common/strings.hpp"
 
 namespace adaflow {
 
@@ -121,6 +123,16 @@ double ArgParser::option_nonnegative_double(const std::string& name) const {
     throw ConfigError("option --" + name + " must be >= 0, got '" + option(name) + "'");
   }
   return d;
+}
+
+const std::string& ArgParser::option_choice(const std::string& name,
+                                            const std::vector<std::string>& choices) const {
+  const std::string& v = option(name);
+  if (std::find(choices.begin(), choices.end(), v) == choices.end()) {
+    throw ConfigError("option --" + name + " must be one of " + join(choices, " | ") +
+                      ", got '" + v + "'");
+  }
+  return v;
 }
 
 std::int64_t ArgParser::option_int(const std::string& name) const {

@@ -39,6 +39,10 @@ class ArgParser {
   /// uniform, testable validation of timeout/budget-style options.
   double option_positive_double(const std::string& name) const;
   double option_nonnegative_double(const std::string& name) const;
+  /// option() restricted to \p choices; throws ConfigError naming the flag
+  /// and every choice ("option --router must be one of a | b, got 'c'").
+  const std::string& option_choice(const std::string& name,
+                                   const std::vector<std::string>& choices) const;
   const std::string& positional(const std::string& name) const;
   bool has(const std::string& name) const;  ///< option explicitly set?
 

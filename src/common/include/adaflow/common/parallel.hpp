@@ -20,6 +20,9 @@ namespace adaflow {
 /// Runs fn(i) for i in [0, count) across the global worker pool. Blocks until
 /// all iterations finish. fn must be safe to call concurrently for distinct i.
 /// Falls back to a serial loop for small counts or when only one core exists.
+/// An exception thrown by fn reaches the caller: the first one thrown is
+/// rethrown once no iteration is still running. The serial loop stops at the
+/// throwing iteration; the pool still runs the remaining ones.
 void parallel_for(std::int64_t count, const std::function<void(std::int64_t)>& fn);
 
 /// Number of workers in the global pool (>= 1).

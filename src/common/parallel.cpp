@@ -1,8 +1,11 @@
 #include "adaflow/common/parallel.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <condition_variable>
 #include <cstdlib>
+#include <exception>
+#include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -13,20 +16,22 @@ namespace {
 
 constexpr int kMaxWorkers = 512;
 
-/// Persistent pool: workers sleep until a job (function + iteration range) is
-/// published, grab iterations via an atomic counter, then report completion.
+/// Persistent pool: workers sleep until a job is published, grab iterations
+/// via the job's atomic counter, then report completion. Every run() gets its
+/// own Job block, so a worker late to leave job g only drains g's spent
+/// counter and never touches job g+1.
 class Pool {
  public:
   explicit Pool(int n) { spawn(n); }
 
   ~Pool() { stop(); }
 
-  int worker_count() const { return worker_count_; }
+  int worker_count() const { return static_cast<int>(workers_.size()) + 1; }
 
   /// Joins every worker and restarts the pool at \p n threads (including the
   /// caller). Callers guarantee no parallel_for is in flight.
   void resize(int n) {
-    if (n == worker_count_) {
+    if (n == worker_count()) {
       return;
     }
     stop();
@@ -43,36 +48,38 @@ class Pool {
       }
       return;
     }
+    const std::shared_ptr<Job> job(new Job{&fn, count, {0}, {count}, nullptr});
     {
       std::lock_guard<std::mutex> lock(mutex_);
-      job_ = &fn;
-      total_ = count;
-      next_.store(0);
-      remaining_.store(count);
-      ++generation_;
+      job_ = job;
     }
     cv_.notify_all();
-    drain();  // the caller participates
+    drain(*job);  // the caller participates
     // Wait for stragglers still inside fn().
     std::unique_lock<std::mutex> lock(mutex_);
-    done_cv_.wait(lock, [this] { return remaining_.load() == 0; });
-    job_ = nullptr;
+    done_cv_.wait(lock, [&job] { return job->remaining.load() == 0; });
+    if (job->error) {
+      std::rethrow_exception(job->error);
+    }
   }
 
  private:
+  /// One run() call. fn is only called while run() waits: a worker that
+  /// arrives after the last iteration finds next >= total.
+  struct Job {
+    const std::function<void(std::int64_t)>* fn;
+    std::int64_t total;
+    std::atomic<std::int64_t> next;
+    std::atomic<std::int64_t> remaining;
+    std::exception_ptr error;  ///< first exception fn threw (guarded by mutex_)
+  };
+
   void spawn(int n) {
-    if (n < 1) {
-      n = 1;
+    // The caller thread also works, so spawn n-1 helpers. New workers have
+    // already seen the current job, so they wait for the next one.
+    for (int i = 1; i < std::clamp(n, 1, kMaxWorkers); ++i) {
+      workers_.emplace_back([this, seen = job_] { worker_loop(seen); });
     }
-    if (n > kMaxWorkers) {
-      n = kMaxWorkers;
-    }
-    // The caller thread also works, so spawn n-1 helpers. New workers start
-    // at the current generation so a stale job is never re-drained.
-    for (int i = 1; i < n; ++i) {
-      workers_.emplace_back([this, g = generation_] { worker_loop(g); });
-    }
-    worker_count_ = n;
   }
 
   void stop() {
@@ -85,51 +92,43 @@ class Pool {
       w.join();
     }
     workers_.clear();
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      shutdown_ = false;
-    }
-    worker_count_ = 1;
+    shutdown_ = false;  // every worker has been joined
   }
 
-  void drain() {
-    while (true) {
-      const std::int64_t i = next_.fetch_add(1);
-      if (i >= total_) {
-        return;
+  void drain(Job& job) {
+    for (std::int64_t i = job.next.fetch_add(1); i < job.total; i = job.next.fetch_add(1)) {
+      try {
+        (*job.fn)(i);
+      } catch (...) {
+        std::lock_guard<std::mutex> lock(mutex_);
+        job.error = job.error ? job.error : std::current_exception();
       }
-      (*job_)(i);
-      if (remaining_.fetch_sub(1) == 1) {
+      if (job.remaining.fetch_sub(1) == 1) {
         std::lock_guard<std::mutex> lock(mutex_);
         done_cv_.notify_all();
       }
     }
   }
 
-  void worker_loop(std::uint64_t seen) {
+  void worker_loop(std::shared_ptr<Job> job) {
     while (true) {
       {
         std::unique_lock<std::mutex> lock(mutex_);
-        cv_.wait(lock, [this, seen] { return shutdown_ || generation_ != seen; });
+        cv_.wait(lock, [&] { return shutdown_ || job_ != job; });
         if (shutdown_) {
           return;
         }
-        seen = generation_;
+        job = job_;
       }
-      drain();
+      drain(*job);
     }
   }
 
   std::vector<std::thread> workers_;
-  int worker_count_ = 1;
   std::mutex mutex_;
   std::condition_variable cv_;
   std::condition_variable done_cv_;
-  const std::function<void(std::int64_t)>* job_ = nullptr;
-  std::int64_t total_ = 0;
-  std::atomic<std::int64_t> next_{0};
-  std::atomic<std::int64_t> remaining_{0};
-  std::uint64_t generation_ = 0;
+  std::shared_ptr<Job> job_;  ///< the latest published job
   bool shutdown_ = false;
 };
 

@@ -65,25 +65,12 @@ FleetEngine::FleetEngine(sim::EventQueue& queue, const core::AcceleratorLibrary&
   metrics_.loss_series.interval_s = config_.sample_interval_s;
   metrics_.qoe_series.interval_s = config_.sample_interval_s;
   metrics_.backlog_series.interval_s = config_.sample_interval_s;
-  if (config_.coordinator.enabled && config_.coordinator.predictive) {
-    forecast::ForecastTrackerConfig fc = config_.coordinator.forecast;
-    fc.window_s = config_.coordinator.poll_interval_s;
-    coord_tracker_.emplace(fc);
-  }
 }
 
 FleetEngine::~FleetEngine() = default;
 
 const core::AcceleratorLibrary& FleetEngine::device_library(std::size_t i) const {
   return config_.devices[i].library != nullptr ? *config_.devices[i].library : fleet_library_;
-}
-
-double FleetEngine::worst_backlog_seconds() const {
-  double worst = 0.0;
-  for (const auto& dev : devices_) {
-    worst = std::max(worst, dev->backlog_seconds());
-  }
-  return worst;
 }
 
 void FleetEngine::set_frame_hooks(std::function<void(std::int64_t, double)> on_done,
@@ -139,7 +126,7 @@ bool FleetEngine::try_dispatch(std::int64_t tag, std::size_t exclude) {
           "router '" + router_.name() + "' returned an ineligible device");
   // Timestamp first: offer_frame may start service synchronously and fire
   // the headroom callback, which pops this very entry.
-  queued_since_[idx].push_back(QueuedFrame{queue_.now(), tag});
+  queued_since_[idx].push_back(queue_.now());
   const bool taken = devices_[idx]->offer_frame(/*count_loss=*/false, tag);
   require(taken, "eligible device '" + devices_[idx]->name() + "' rejected a frame");
   ++metrics_.dispatched;
@@ -154,7 +141,7 @@ bool FleetEngine::try_probe_dispatch(std::int64_t tag) {
     if (probe_wanted_[i] == 0 || devices_[i]->free_slots() <= 0) {
       continue;
     }
-    queued_since_[i].push_back(QueuedFrame{queue_.now(), tag});
+    queued_since_[i].push_back(queue_.now());
     const bool taken = devices_[i]->offer_frame(/*count_loss=*/false, tag);
     if (!taken) {
       queued_since_[i].pop_back();
@@ -199,15 +186,6 @@ void FleetEngine::on_device_headroom(std::size_t i) {
 }
 
 FleetEngine::Admit FleetEngine::offer_frame(std::int64_t tag) {
-  if (config_.health.hedge_budget_s > 0.0 && config_.health.hedge_duplicate) {
-    require(tag >= 0 || tag == edge::DeviceSim::kNoTag,
-            "hedge_duplicate reserves negative frame tags for the engine");
-    if (tag == edge::DeviceSim::kNoTag) {
-      // Anonymous frames get engine-internal tags (< -1) so a duplicated
-      // copy can be deduped at completion; user hooks never see them.
-      tag = next_internal_tag_--;
-    }
-  }
   ++metrics_.arrived;
   if (config_.coordinator.enabled) {
     recent_arrivals_.push_back(queue_.now());
@@ -228,41 +206,12 @@ FleetEngine::Admit FleetEngine::offer_frame(std::int64_t tag) {
 // --- frame outcome funnel ---------------------------------------------------
 
 void FleetEngine::frame_done(std::int64_t tag, double accuracy) {
-  const auto it = hedge_copies_.find(tag);
-  if (it != hedge_copies_.end()) {
-    HedgeEntry& entry = it->second;
-    const bool winner = !entry.delivered;
-    entry.delivered = true;
-    if (--entry.copies == 0) {
-      hedge_copies_.erase(it);
-    }
-    if (!winner) {
-      // The race was already won: this completion must not count toward
-      // delivered frames, QoE, or latency. finalize() subtracts it from the
-      // device-side sums.
-      ++metrics_.hedge_wasted;
-      hedge_wasted_qoe_ += accuracy;
-      return;
-    }
-  }
   if (tag >= 0 && on_frame_done_) {
     on_frame_done_(tag, accuracy);
   }
 }
 
 void FleetEngine::frame_lost(std::int64_t tag) {
-  const auto it = hedge_copies_.find(tag);
-  if (it != hedge_copies_.end()) {
-    HedgeEntry& entry = it->second;
-    const bool delivered = entry.delivered;
-    const bool last = --entry.copies == 0;
-    if (last) {
-      hedge_copies_.erase(it);
-    }
-    if (delivered || !last) {
-      return;  // the other copy already delivered, or still might
-    }
-  }
   if (tag >= 0 && on_frame_lost_) {
     on_frame_lost_(tag);
   }
@@ -303,42 +252,6 @@ bool FleetEngine::any_other_eligible(std::size_t i) const {
     }
   }
   return false;
-}
-
-/// Duplicate hedging: every frame stuck past the budget keeps its queue
-/// position and a duplicate copy is dispatched to another eligible device
-/// (at most one duplicate per frame — the hedge_copies_ entry marks it).
-/// Whichever copy completes first wins; frame_done/frame_lost resolve the
-/// race so exactly one outcome reaches the caller.
-void FleetEngine::hedge_duplicates(double now) {
-  for (std::size_t i = 0; i < devices_.size(); ++i) {
-    if (excluded(i)) {
-      continue;
-    }
-    // Index loop with per-step re-check: dispatching the duplicate can start
-    // service synchronously, fire a headroom event, and reshape any
-    // queued_since_ deque under us.
-    for (std::size_t k = 0; k < queued_since_[i].size(); ++k) {
-      const QueuedFrame q = queued_since_[i][k];
-      if (now - q.since < config_.health.hedge_budget_s) {
-        break;  // front = oldest; everything behind is younger
-      }
-      if (q.tag == edge::DeviceSim::kNoTag || hedge_copies_.count(q.tag) != 0) {
-        continue;  // anonymous (untracked) or already duplicated
-      }
-      if (!any_other_eligible(i)) {
-        return;  // nowhere to put a duplicate; try again next tick
-      }
-      if (!try_dispatch(q.tag, i)) {
-        return;  // class-based router declined every peer; retry next tick
-      }
-      // Completion is always a scheduled event, so registering the race
-      // right after the synchronous dispatch cannot miss the winner.
-      hedge_copies_.emplace(q.tag, HedgeEntry{});
-      ++metrics_.redispatched;
-      ++metrics_.hedged;
-    }
-  }
 }
 
 void FleetEngine::health_tick() {
@@ -397,26 +310,22 @@ void FleetEngine::health_tick() {
   // back and re-routed — but only when somewhere better exists right now
   // (hedging into a full fleet would just forfeit the frame's position).
   if (config_.health.hedge_budget_s > 0.0) {
-    if (config_.health.hedge_duplicate) {
-      hedge_duplicates(now);
-    } else {
-      for (std::size_t i = 0; i < devices_.size(); ++i) {
-        if (excluded(i)) {
-          continue;  // quarantine drain already emptied it
+    for (std::size_t i = 0; i < devices_.size(); ++i) {
+      if (excluded(i)) {
+        continue;  // quarantine drain already emptied it
+      }
+      while (!queued_since_[i].empty() &&
+             now - queued_since_[i].front() >= config_.health.hedge_budget_s &&
+             any_other_eligible(i)) {
+        std::vector<std::int64_t> tags;
+        if (devices_[i]->take_queued(1, &tags) == 0) {
+          break;
         }
-        while (!queued_since_[i].empty() &&
-               now - queued_since_[i].front().since >= config_.health.hedge_budget_s &&
-               any_other_eligible(i)) {
-          std::vector<std::int64_t> tags;
-          if (devices_[i]->take_queued(1, &tags) == 0) {
-            break;
-          }
-          queued_since_[i].pop_front();
-          ++metrics_.redispatched;
-          ++metrics_.hedged;
-          const bool placed = try_dispatch(tags.front(), i);
-          require(placed, "hedge re-dispatch failed despite an eligible device");
-        }
+        queued_since_[i].pop_front();
+        ++metrics_.redispatched;
+        ++metrics_.hedged;
+        const bool placed = try_dispatch(tags.front(), i);
+        require(placed, "hedge re-dispatch failed despite an eligible device");
       }
     }
   }
@@ -505,22 +414,11 @@ double FleetEngine::aggregate_fps() {
   return static_cast<double>(recent_arrivals_.size()) / window;
 }
 
-/// The rate the coordinator plans against: the measured aggregate, or —
-/// under predictive re-partitioning — the forecast-horizon rate floored at
-/// the measurement (a predicted fall never repartitions early; a predicted
-/// rise repartitions while the old rate still holds).
-double FleetEngine::planning_rate(double measured) const {
-  if (!coord_tracker_.has_value() || coord_tracker_->forecaster().observations() < 2) {
-    return measured;
-  }
-  return std::max(measured, coord_tracker_->current().rate);
-}
-
 void FleetEngine::maybe_start_repartition(double now) {
   if (now < config_.coordinator.warmup_s) {
     return;
   }
-  const double agg = planning_rate(aggregate_fps());
+  const double agg = aggregate_fps();
   if (agg <= 0.0) {
     return;
   }
@@ -579,11 +477,6 @@ void FleetEngine::maybe_start_repartition(double now) {
 
 void FleetEngine::coordinator_tick() {
   const double now = queue_.now();
-  if (coord_tracker_.has_value() && now >= config_.coordinator.warmup_s) {
-    // One observation per tick, regardless of the drain state machine, so
-    // the forecaster sees an unbroken fixed-cadence series.
-    coord_tracker_->observe(aggregate_fps());
-  }
   switch (coord_state_) {
     case CoordState::kIdle:
       maybe_start_repartition(now);
@@ -665,7 +558,6 @@ void FleetEngine::fleet_sample() {
     qoe_total += dev->metrics().qoe_accuracy_sum;
     worst_backlog_s = std::max(worst_backlog_s, dev->backlog_seconds());
   }
-  qoe_total -= hedge_wasted_qoe_;  // discarded duplicate completions
   const std::int64_t d_arrived = arrived_total - snap_arrived_;
   const std::int64_t d_lost = lost_total - snap_lost_;
   const double d_qoe = qoe_total - snap_qoe_;
@@ -741,16 +633,7 @@ FleetMetrics FleetEngine::finalize(double duration_s) {
     result.metrics = std::move(m);
     metrics_.devices.push_back(std::move(result));
   }
-  // Duplicate-hedge losers were counted by their devices; delivered frames
-  // and QoE must count each frame once.
-  metrics_.processed -= metrics_.hedge_wasted;
-  metrics_.qoe_accuracy_sum -= hedge_wasted_qoe_;
   metrics_.tail_latency_p95_s = sim::percentile(metrics_.backlog_series.values, 0.95);
-  // The fleet forecast is the coordinator's tracker, not a sum over devices:
-  // proactive devices keep their own forecast stats in their device rows.
-  if (coord_tracker_.has_value()) {
-    metrics_.forecast = coord_tracker_->stats();
-  }
   metrics_.check_conservation();
   return std::move(metrics_);
 }

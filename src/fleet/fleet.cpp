@@ -85,7 +85,6 @@ void FleetMetrics::merge(const FleetMetrics& other) {
   duration_s = std::max(duration_s, other.duration_s);
   tail_latency_p95_s = std::max(tail_latency_p95_s, other.tail_latency_p95_s);
   sim::accumulate(faults, other.faults);
-  sim::accumulate(forecast, other.forecast);
   sim::accumulate(integrity, other.integrity);
   sim::accumulate(detection, other.detection);
   e2e_latency.merge(other.e2e_latency);

@@ -42,9 +42,6 @@ void HealthConfig::validate() const {
   if (!(std::isfinite(hedge_budget_s) && hedge_budget_s >= 0.0)) {
     throw ConfigError("HealthConfig.hedge_budget_s must be >= 0 (0 disables hedging)");
   }
-  if (hedge_duplicate && hedge_budget_s <= 0.0) {
-    throw ConfigError("HealthConfig.hedge_duplicate requires hedge_budget_s > 0");
-  }
 }
 
 HealthMonitor::HealthMonitor(const HealthConfig& config, std::size_t device_count)

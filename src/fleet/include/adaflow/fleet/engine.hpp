@@ -26,8 +26,6 @@
 #include <deque>
 #include <functional>
 #include <memory>
-#include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "adaflow/edge/device_sim.hpp"
@@ -151,8 +149,6 @@ class FleetEngine {
   /// Library device \p i serves from (its own, or the fleet default).
   const core::AcceleratorLibrary& device_library(std::size_t i) const;
   std::int64_t ingress_backlog() const { return static_cast<std::int64_t>(ingress_->size()); }
-  /// Worst per-device backlog drain estimate right now [s].
-  double worst_backlog_seconds() const;
   /// Externally commanded switch on device \p i — the same validated,
   /// fault-injected, timeout/retry-laddered path the coordinator uses.
   /// Callers gate on device(i).switch_in_flight().
@@ -168,14 +164,11 @@ class FleetEngine {
   bool try_probe_dispatch(std::int64_t tag);
   void drain_ingress();
   void on_device_headroom(std::size_t i);
-  /// Central frame-outcome funnel: dedupes duplicate-hedge copies, then
-  /// forwards caller tags to the user hooks. Every completion/loss path
-  /// (device hooks, re-park sheds) reports through here.
+  /// Central frame-outcome funnel: forwards caller tags (>= 0) to the user
+  /// hooks. Every completion/loss path (device hooks, re-park sheds) reports
+  /// through here.
   void frame_done(std::int64_t tag, double accuracy);
   void frame_lost(std::int64_t tag);
-  /// Dispatches duplicate copies of frames stuck past the hedge budget
-  /// (hedge_duplicate mode; health_tick calls it each tick).
-  void hedge_duplicates(double now);
   /// A re-dispatched frame (quarantine drain, probe reclaim, hedge) looks
   /// for a new home: device first, then ingress, else it is shed — and a
   /// shed tagged frame fires the lost hook (its owner must hear of it).
@@ -192,7 +185,6 @@ class FleetEngine {
   /// optionally force-quarantines the device.
   void on_canary_result(std::size_t i, double now, double error);
   double aggregate_fps();
-  double planning_rate(double measured) const;
   void maybe_start_repartition(double now);
   void coordinator_tick();
   void device_poll(std::size_t i);
@@ -221,14 +213,9 @@ class FleetEngine {
   /// slow reload is not re-issued on every canary while corruption clears).
   std::vector<integrity::DriftDetector> integrity_detectors_;
   std::vector<double> last_repair_s_;
-  /// One entry per frame waiting in a device's queue (front = oldest):
-  /// dispatch timestamp + tag. Kept in lock-step with DeviceSim::queued();
-  /// the tag lets duplicate hedging name a stuck frame without pulling it.
-  struct QueuedFrame {
-    double since = 0.0;
-    std::int64_t tag = edge::DeviceSim::kNoTag;
-  };
-  std::vector<std::deque<QueuedFrame>> queued_since_;
+  /// One dispatch timestamp per frame waiting in a device's queue (front =
+  /// oldest). Kept in lock-step with DeviceSim::queued().
+  std::vector<std::deque<double>> queued_since_;
 
   FleetMetrics metrics_;
   /// The frames waiting at ingress, in the queue's scheduling order.
@@ -240,21 +227,8 @@ class FleetEngine {
   std::function<void(std::int64_t, double)> on_frame_done_;
   std::function<void(std::int64_t)> on_frame_lost_;
 
-  /// Duplicate-hedge bookkeeping (hedge_duplicate mode): one entry per frame
-  /// with two live copies in flight. First completion wins; the loser is
-  /// discarded as hedge_wasted. Anonymous frames get internal tags (< -1,
-  /// from next_internal_tag_) at admission so their copies dedupe too.
-  struct HedgeEntry {
-    int copies = 2;
-    bool delivered = false;
-  };
-  std::unordered_map<std::int64_t, HedgeEntry> hedge_copies_;
-  std::int64_t next_internal_tag_ = -2;
-  double hedge_wasted_qoe_ = 0.0;  ///< accuracy sum of discarded duplicates
-
   // Coordinator state (see fleet.hpp for the drain-and-reconfigure design).
   std::deque<double> recent_arrivals_;
-  std::optional<forecast::ForecastTracker> coord_tracker_;
   enum class CoordState { kIdle, kDraining, kReconfiguring };
   CoordState coord_state_ = CoordState::kIdle;
   std::size_t coord_device_ = 0;

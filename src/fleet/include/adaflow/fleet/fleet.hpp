@@ -33,7 +33,6 @@
 #include "adaflow/edge/server_types.hpp"
 #include "adaflow/edge/workload.hpp"
 #include "adaflow/faults/fault_injector.hpp"
-#include "adaflow/forecast/tracker.hpp"
 #include "adaflow/fleet/health.hpp"
 #include "adaflow/fleet/routing.hpp"
 #include "adaflow/integrity/manager.hpp"
@@ -90,14 +89,6 @@ struct FleetCoordinatorConfig {
   double drain_timeout_s = 1.0;
   double accuracy_threshold = 0.10;
   double fps_margin = 1.10;
-  /// Re-partition on the PREDICTED aggregate rate: every coordinator tick
-  /// past warmup feeds the measured aggregate FPS into a forecaster, and
-  /// targets are picked for the forecast `forecast.horizon_windows` ticks
-  /// ahead (floored at the measured rate, so a predicted fall never
-  /// repartitions early). The drain-and-reconfigure cycle then runs while
-  /// the old rate still holds instead of after the shift has landed.
-  bool predictive = false;
-  forecast::ForecastTrackerConfig forecast;
 };
 
 struct FleetConfig {
@@ -132,7 +123,7 @@ struct TenantUsage {
   std::int64_t admitted = 0;   ///< past the token-bucket admission control
   std::int64_t throttled = 0;  ///< rejected by the token bucket
   std::int64_t shed = 0;       ///< lost at the (per-class) ingress queue
-  std::int64_t delivered = 0;  ///< unique completions (hedge duplicates deduped)
+  std::int64_t delivered = 0;  ///< completions
   std::int64_t lost = 0;       ///< destroyed post-dispatch (devices, re-park sheds)
   double qoe_accuracy_sum = 0.0;  ///< summed delivered accuracy
   /// Seconds this tenant spent in SLO violation (per sample window: admitted
@@ -183,10 +174,6 @@ struct FleetMetrics {
   ///   arrived + redispatched == dispatched + ingress_lost + ingress_backlog.
   std::int64_t redispatched = 0;
   std::int64_t hedged = 0;  ///< subset of redispatched: queue-wait hedges
-  /// Duplicate-hedge completions that lost the race and were discarded
-  /// (hedge_duplicate mode only). finalize() already subtracts them from
-  /// processed and qoe_accuracy_sum, so delivered-frame counts stay honest.
-  std::int64_t hedge_wasted = 0;
   std::int64_t quarantines = 0;  ///< circuit-breaker trips, fleet-wide
   std::int64_t rejoins = 0;      ///< probed recoveries, fleet-wide
   std::int64_t processed = 0;
@@ -209,13 +196,6 @@ struct FleetMetrics {
 
   /// Summed over devices: faults that manifested and how devices reacted.
   sim::FaultStats faults;
-
-  /// Quality of the coordinator's aggregate-rate forecast (all-zero unless
-  /// the coordinator runs with `predictive` set; summed over shards by
-  /// merge). Unlike faults/integrity/detection this is NOT a sum over
-  /// devices: a device's own proactive-policy forecast stats stay in
-  /// devices[i].metrics.forecast only.
-  sim::ForecastStats forecast;
 
   /// Summed over devices: the silent-corruption ledger — config upsets that
   /// landed, wrong frames served while corrupt, canary traffic and its
@@ -262,7 +242,6 @@ struct FleetMetrics {
     f(s.ingress_backlog...);
     f(s.redispatched...);
     f(s.hedged...);
-    f(s.hedge_wasted...);
     f(s.quarantines...);
     f(s.rejoins...);
     f(s.processed...);

@@ -48,14 +48,6 @@ struct HealthConfig {
   /// after this long is hedged — pulled back and re-routed to another
   /// eligible device. 0 disables hedging.
   double hedge_budget_s = 0.0;
-  /// Hedge by duplication instead of migration: the slow copy stays queued
-  /// and a duplicate is dispatched to another eligible device; the first
-  /// completion wins and the loser's completion is discarded (it counts as
-  /// hedge_wasted, never toward delivered frames, QoE, or latency). Off by
-  /// default — migration hedging is the PR 5 behaviour. With duplication on,
-  /// caller-assigned frame tags must be >= 0 (the engine reserves negative
-  /// tags to dedupe anonymous traffic).
-  bool hedge_duplicate = false;
 
   /// Throws ConfigError naming the offending field.
   void validate() const;

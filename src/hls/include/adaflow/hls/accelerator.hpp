@@ -40,7 +40,6 @@ class DataflowAccelerator {
 
   AcceleratorVariant variant() const { return variant_; }
   const std::string& loaded_version() const { return loaded_.version; }
-  const CompiledModel& loaded_model() const { return loaded_; }
   const FoldingConfig& folding() const { return folding_; }
   const CompiledModel& synthesis_model() const { return synthesis_; }
 

@@ -294,7 +294,6 @@ struct Fnv {
     fields(m);
     add(m.duration_s);
     fields(m.faults);
-    fields(m.forecast);
     fields(m.integrity);
     fields(m.detection);
     histogram(m.e2e_latency);
@@ -320,6 +319,7 @@ std::string metrics_fingerprint(const fleet::FleetMetrics& m) {
   for (const fleet::FleetDeviceResult& d : m.devices) {
     f.text(d.name);
     f.metrics(d.metrics);
+    f.fields(d.metrics.forecast);
     f.add(d.metrics.switches.size());
     for (const edge::SwitchRecord& r : d.metrics.switches) {
       f.add(r.time_s);

@@ -99,7 +99,7 @@ struct TenantSim {
 
   struct TenantState {
     TokenBucket bucket;
-    std::optional<forecast::ForecastTracker> tracker;
+    forecast::ForecastTracker tracker;
     edge::ArrivalStream arrivals;
     std::int64_t seq = 0;
     fleet::TenantUsage usage;
@@ -165,14 +165,11 @@ struct TenantSim {
     forecast::ForecastTrackerConfig fc = cfg.forecast;
     fc.window_s = cfg.coordinator_interval_s;
     for (std::size_t t = 0; t < cfg.tenants.size(); ++t) {
-      TenantState state{TokenBucket(cfg.tenants[t].admission), std::nullopt,
+      TenantState state{TokenBucket(cfg.tenants[t].admission), forecast::ForecastTracker(fc),
                         edge::ArrivalStream(cfg.tenants[t].trace, tenant_seed(seed, t),
                                             cfg.duration_s),
                         0, {}, 0, 0, 0, 0.0, {}, 0.0, 0, 0};
       state.usage.name = cfg.tenants[t].name;
-      if (cfg.predictive) {
-        state.tracker.emplace(fc);
-      }
       tenants.push_back(std::move(state));
     }
     last_switch_s.assign(static_cast<std::size_t>(cfg.devices), -1e18);
@@ -279,17 +276,14 @@ struct TenantSim {
   // --- tenant coordinator ---------------------------------------------------
 
   double predicted_rate(std::size_t t, double measured) {
-    TenantState& state = tenants[t];
-    if (!state.tracker.has_value()) {
-      return measured;
-    }
-    state.tracker->observe(measured);
-    if (state.tracker->forecaster().observations() < 2) {
+    forecast::ForecastTracker& tracker = tenants[t].tracker;
+    tracker.observe(measured);
+    if (tracker.forecaster().observations() < 2) {
       return measured;
     }
     // A predicted fall never de-provisions early; a predicted rise
     // re-provisions while the old rate still holds.
-    return std::max(measured, state.tracker->current().rate);
+    return std::max(measured, tracker.current().rate);
   }
 
   void coordinator_tick() {
@@ -378,7 +372,6 @@ struct TenantSim {
 
   void finalize() {
     out.fleet = engine->finalize(config.duration_s);
-    RateFoldingPlanCache folding = make_folding_cache();
     for (std::size_t t = 0; t < tenants.size(); ++t) {
       TenantState& state = tenants[t];
       TenantResult& r = out.tenants[t];
@@ -399,12 +392,9 @@ struct TenantSim {
       r.offered_rate_mean_fps =
           static_cast<double>(r.usage.offered) / config.duration_s;
       r.final_version = final_version_of(t);
-      fill_folding_plan(t, folding, r);
       out.worst_violation_s = std::max(out.worst_violation_s, r.usage.slo_violation_s);
       out.total_violation_s += r.usage.slo_violation_s;
-      if (state.tracker.has_value()) {
-        sim::accumulate(out.forecast, state.tracker->stats());
-      }
+      sim::accumulate(out.forecast, state.tracker.stats());
       out.fleet.tenants.push_back(r.usage);
     }
   }
@@ -416,35 +406,6 @@ struct TenantSim {
       }
     }
     return tenant_lib[t]->versions.size();
-  }
-
-  struct RateFoldingPlanCache {
-    bool enabled = false;
-    std::int64_t peak_parallelism = 0;
-  };
-
-  RateFoldingPlanCache make_folding_cache() const {
-    RateFoldingPlanCache cache;
-    if (config.folding_model != nullptr) {
-      cache.enabled = true;
-      cache.peak_parallelism =
-          dse::plan_peak_folding(*config.folding_model, dse::RatePlanConfig{}).parallelism;
-    }
-    return cache;
-  }
-
-  void fill_folding_plan(std::size_t t, const RateFoldingPlanCache& cache, TenantResult& r) {
-    if (!cache.enabled || r.offered_rate_mean_fps <= 0.0) {
-      return;
-    }
-    int devices_of_t = 0;
-    for (const std::size_t owner : router.assignment()) {
-      devices_of_t += owner == t ? 1 : 0;
-    }
-    r.folding_plan = dse::plan_folding_for_rate(*config.folding_model, r.offered_rate_mean_fps,
-                                                std::max(devices_of_t, 1),
-                                                dse::RatePlanConfig{});
-    r.peak_parallelism = cache.peak_parallelism;
   }
 };
 

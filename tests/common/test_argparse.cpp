@@ -134,6 +134,24 @@ TEST(ArgParse, NonnegativeDoubleAllowsZeroButRejectsNegative) {
   }
 }
 
+TEST(ArgParse, ChoiceAcceptsAListedValueAndNamesEveryChoiceOtherwise) {
+  ArgParser p("t", "d");
+  p.add_option("scheduler", "wfq | fifo", "wfq");
+  p.parse({});
+  EXPECT_EQ(p.option_choice("scheduler", {"wfq", "fifo"}), "wfq");
+  ArgParser bad("t", "d");
+  bad.add_option("scheduler", "wfq | fifo", "wfq");
+  bad.parse({"--scheduler", "lifo"});
+  try {
+    bad.option_choice("scheduler", {"wfq", "fifo"});
+    FAIL() << "expected ConfigError";
+  } catch (const ConfigError& e) {
+    EXPECT_NE(std::string(e.what()).find("option --scheduler must be one of wfq | fifo, got 'lifo'"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
 TEST(ArgParse, SplitHelper) {
   EXPECT_EQ(split("a,b,c", ','), (std::vector<std::string>{"a", "b", "c"}));
   EXPECT_EQ(split("solo", ','), (std::vector<std::string>{"solo"}));

@@ -261,7 +261,7 @@ static_assert(sim::field_count<sim::FaultStats>() + sim::field_count<sim::Integr
 
 TEST(FieldLists, CountTheAdditiveScalars) {
   EXPECT_EQ(sim::field_count<edge::RunMetrics>(), 9u);
-  EXPECT_EQ(sim::field_count<fleet::FleetMetrics>(), 16u);
+  EXPECT_EQ(sim::field_count<fleet::FleetMetrics>(), 15u);
   EXPECT_EQ(sim::field_count<fleet::TenantUsage>(), 8u);
 }
 
@@ -357,8 +357,6 @@ TEST(MetricsFingerprint, EveryListedFieldMovesIt) {
   expect_every_field_hashed<FM>("fleet", [](FM& m) -> FM& { return m; });
   expect_every_field_hashed<sim::FaultStats>("fleet faults",
                                              [](FM& m) -> auto& { return m.faults; });
-  expect_every_field_hashed<sim::ForecastStats>("fleet forecast",
-                                                [](FM& m) -> auto& { return m.forecast; });
   expect_every_field_hashed<sim::IntegrityStats>("fleet integrity",
                                                  [](FM& m) -> auto& { return m.integrity; });
   expect_every_field_hashed<sim::DetectionStats>("fleet detection",

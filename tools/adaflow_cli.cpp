@@ -23,6 +23,7 @@
 
 #include <cstdio>
 #include <memory>
+#include <utility>
 
 #include "adaflow/common/argparse.hpp"
 #include "adaflow/common/logging.hpp"
@@ -74,6 +75,29 @@ nn::Model model_by_name(const std::string& name, std::int64_t classes, std::uint
     return nn::build_mlp(nn::tfc_w1a2(classes), seed);
   }
   throw NotFoundError("unknown model '" + name + "' (cnv-w2a2, cnv-w1a2, tfc-w1a2)");
+}
+
+/// The --library file, or the built-in synthetic library when it is empty.
+core::AcceleratorLibrary library_or_synthetic(const ArgParser& parser) {
+  return parser.option("library").empty() ? core::synthetic_library()
+                                          : core::load_library(parser.option("library"));
+}
+
+/// The arrival rate and bursty trace (+-50% every 2 s) of the fleet, shard
+/// and integrity runs. The rate is --fps, or 70% of \p devices times the most
+/// accurate version's FPS when --fps is empty.
+std::pair<double, edge::WorkloadTrace> bursty_trace(const ArgParser& parser,
+                                                    const core::AcceleratorLibrary& lib,
+                                                    std::int64_t devices, double duration,
+                                                    std::uint64_t seed) {
+  edge::WorkloadConfig workload;
+  workload.devices = 1;
+  workload.fps_per_device =
+      parser.option("fps").empty()
+          ? static_cast<double>(devices) * lib.versions.front().fps_fixed * 0.7
+          : parser.option_positive_double("fps");
+  workload.phases = {edge::WorkloadPhase{0.5, 2.0, duration}};
+  return {workload.fps_per_device, edge::WorkloadTrace(workload, seed)};
 }
 
 int cmd_devices(const std::vector<std::string>&) {
@@ -286,31 +310,19 @@ int cmd_fleet(const std::vector<std::string>& args) {
                     "0");
   parser.parse(args);
 
-  const core::AcceleratorLibrary lib = parser.option("library").empty()
-                                           ? core::synthetic_library()
-                                           : core::load_library(parser.option("library"));
+  const core::AcceleratorLibrary lib = library_or_synthetic(parser);
 
   const std::int64_t devices = parser.option_int("devices");
   require(devices >= 1 && devices <= 64, "--devices must be in [1, 64], got '" +
                                              parser.option("devices") + "'");
-  const std::string router_name = parser.option("router");
-  {
-    const std::vector<std::string> names = fleet::router_names();
-    bool known = false;
-    for (const std::string& n : names) {
-      known = known || n == router_name;
-    }
-    require(known, "--router must be one of " + join(names, " | ") + ", got '" + router_name + "'");
-  }
+  const std::string router_name = parser.option_choice("router", fleet::router_names());
   const double duration = parser.option_double("duration");
   require(duration > 0.0, "--duration must be positive, got '" + parser.option("duration") + "'");
   const std::uint64_t seed = static_cast<std::uint64_t>(parser.option_int("seed"));
 
   // Resilience knobs: each one is validated up front so a bad value names
   // the flag instead of surfacing as a deep HealthConfig error mid-run.
-  const std::string chaos = parser.option("chaos");
-  require(chaos == "none" || chaos == "crash" || chaos == "hang" || chaos == "degrade",
-          "--chaos must be one of none | crash | hang | degrade, got '" + chaos + "'");
+  const std::string chaos = parser.option_choice("chaos", {"none", "crash", "hang", "degrade"});
   const double chaos_start = parser.option_nonnegative_double("chaos-start");
   const double chaos_duration = parser.option_positive_double("chaos-duration");
   const double hedge_budget = parser.option_nonnegative_double("hedge-budget");
@@ -346,18 +358,7 @@ int cmd_fleet(const std::vector<std::string>& args) {
     }
   }
 
-  // Default the trace to 70% of the fleet's most-accurate-version capacity.
-  double rate = static_cast<double>(devices) * lib.versions.front().fps_fixed * 0.7;
-  if (!parser.option("fps").empty()) {
-    rate = parser.option_double("fps");
-    require(rate > 0.0, "--fps must be positive, got '" + parser.option("fps") + "'");
-  }
-  edge::WorkloadConfig workload;
-  workload.devices = 1;
-  workload.fps_per_device = rate;
-  workload.phases = {edge::WorkloadPhase{0.5, 2.0, duration}};
-  const edge::WorkloadTrace trace(workload, seed);
-
+  const auto [rate, trace] = bursty_trace(parser, lib, devices, duration, seed);
   auto router = fleet::make_router(router_name);
   const fleet::FleetMetrics m = fleet::run_fleet(trace, lib, config, *router, seed);
 
@@ -403,22 +404,12 @@ int cmd_shard(const std::vector<std::string>& args) {
   parser.add_option("seed", "rng seed", "42");
   parser.parse(args);
 
-  const core::AcceleratorLibrary lib = parser.option("library").empty()
-                                           ? core::synthetic_library()
-                                           : core::load_library(parser.option("library"));
+  const core::AcceleratorLibrary lib = library_or_synthetic(parser);
 
   const std::int64_t devices = parser.option_int("devices");
   require(devices >= 1 && devices <= 4096, "--devices must be in [1, 4096], got '" +
                                                parser.option("devices") + "'");
-  const std::string router_name = parser.option("router");
-  {
-    const std::vector<std::string> names = fleet::router_names();
-    bool known = false;
-    for (const std::string& n : names) {
-      known = known || n == router_name;
-    }
-    require(known, "--router must be one of " + join(names, " | ") + ", got '" + router_name + "'");
-  }
+  const std::string router_name = parser.option_choice("router", fleet::router_names());
   const double duration = parser.option_double("duration");
   require(duration > 0.0, "--duration must be positive, got '" + parser.option("duration") + "'");
   const std::uint64_t seed = static_cast<std::uint64_t>(parser.option_int("seed"));
@@ -439,18 +430,7 @@ int cmd_shard(const std::vector<std::string>& args) {
   config.devices = fleet::homogeneous_devices(lib, rmc, static_cast<int>(devices));
   config.ingress_capacity = 16 * devices;
 
-  // Default the trace to 70% of the fleet's most-accurate-version capacity.
-  double rate = static_cast<double>(devices) * lib.versions.front().fps_fixed * 0.7;
-  if (!parser.option("fps").empty()) {
-    rate = parser.option_double("fps");
-    require(rate > 0.0, "--fps must be positive, got '" + parser.option("fps") + "'");
-  }
-  edge::WorkloadConfig workload;
-  workload.devices = 1;
-  workload.fps_per_device = rate;
-  workload.phases = {edge::WorkloadPhase{0.5, 2.0, duration}};
-  const edge::WorkloadTrace trace(workload, seed);
-
+  const auto [rate, trace] = bursty_trace(parser, lib, devices, duration, seed);
   shard::ShardConfig shard_config;
   shard_config.shards = static_cast<int>(shards);
   shard_config.threads = static_cast<int>(threads);
@@ -495,9 +475,7 @@ int cmd_ingest(const std::vector<std::string>& args) {
   parser.add_option("router", "round-robin | least-loaded | accuracy-aware", "least-loaded");
   parser.parse(args);
 
-  const core::AcceleratorLibrary lib = parser.option("library").empty()
-                                           ? core::synthetic_library()
-                                           : core::load_library(parser.option("library"));
+  const core::AcceleratorLibrary lib = library_or_synthetic(parser);
 
   // Every new knob is validated here so a bad value names the flag instead
   // of surfacing as a deep IngestConfig error mid-run.
@@ -511,18 +489,8 @@ int cmd_ingest(const std::vector<std::string>& args) {
   const double loss = parser.option_double("loss");
   require(loss >= 0.0 && loss < 1.0, "--loss must be in [0, 1), got '" + parser.option("loss") + "'");
   const double jitter_ms = parser.option_nonnegative_double("jitter-ms");
-  const std::string brownout = parser.option("brownout");
-  require(brownout == "off" || brownout == "ladder" || brownout == "drop-all",
-          "--brownout must be one of off | ladder | drop-all, got '" + brownout + "'");
-  const std::string router_name = parser.option("router");
-  {
-    const std::vector<std::string> names = fleet::router_names();
-    bool known = false;
-    for (const std::string& n : names) {
-      known = known || n == router_name;
-    }
-    require(known, "--router must be one of " + join(names, " | ") + ", got '" + router_name + "'");
-  }
+  const std::string brownout = parser.option_choice("brownout", {"off", "ladder", "drop-all"});
+  const std::string router_name = parser.option_choice("router", fleet::router_names());
 
   ingest::IngestConfig config;
   config.cameras = static_cast<int>(cameras);
@@ -763,9 +731,7 @@ int cmd_tenant(const std::vector<std::string>& args) {
   parser.add_flag("no-borrow", "hard partition: tenants never borrow idle foreign devices");
   parser.parse(args);
 
-  const core::AcceleratorLibrary lib = parser.option("library").empty()
-                                           ? core::synthetic_library()
-                                           : core::load_library(parser.option("library"));
+  const core::AcceleratorLibrary lib = library_or_synthetic(parser);
 
   // Validate every knob here so a bad value names the flag instead of
   // surfacing as a deep MultiTenantConfig error mid-run.
@@ -777,12 +743,8 @@ int cmd_tenant(const std::vector<std::string>& args) {
           "--devices must be in [tenants, 64], got '" + parser.option("devices") + "'");
   const double duration = parser.option_positive_double("duration");
   const double rate = parser.option_positive_double("rate");
-  const std::string scheduler = parser.option("scheduler");
-  require(scheduler == "wfq" || scheduler == "fifo",
-          "--scheduler must be one of wfq | fifo, got '" + scheduler + "'");
-  const std::string partition = parser.option("partition");
-  require(partition == "rate-aware" || partition == "peak-fps",
-          "--partition must be one of rate-aware | peak-fps, got '" + partition + "'");
+  const std::string scheduler = parser.option_choice("scheduler", {"wfq", "fifo"});
+  const std::string partition = parser.option_choice("partition", {"rate-aware", "peak-fps"});
   const std::uint64_t seed = static_cast<std::uint64_t>(parser.option_int("seed"));
 
   tenant::MultiTenantConfig config;
@@ -979,9 +941,7 @@ int cmd_integrity(const std::vector<std::string>& args) {
   parser.add_option("seed", "rng seed (same seed => bit-identical metrics)", "42");
   parser.parse(args);
 
-  const core::AcceleratorLibrary lib = parser.option("library").empty()
-                                           ? core::synthetic_library()
-                                           : core::load_library(parser.option("library"));
+  const core::AcceleratorLibrary lib = library_or_synthetic(parser);
 
   // Every knob is validated here so a bad value names the flag instead of
   // surfacing as a deep IntegrityRunConfig error mid-run.
@@ -1002,16 +962,7 @@ int cmd_integrity(const std::vector<std::string>& args) {
   // Resolves the policy up front so a typo names --policy, not a deep error.
   const core::PolicyKind kind = core::policy_kind_from_name(parser.option("policy"));
 
-  double rate = lib.versions.front().fps_fixed * 0.7;
-  if (!parser.option("fps").empty()) {
-    rate = parser.option_double("fps");
-    require(rate > 0.0, "--fps must be positive, got '" + parser.option("fps") + "'");
-  }
-  edge::WorkloadConfig workload;
-  workload.devices = 1;
-  workload.fps_per_device = rate;
-  workload.phases = {edge::WorkloadPhase{0.5, 2.0, duration}};
-  const edge::WorkloadTrace trace(workload, seed);
+  const auto [rate, trace] = bursty_trace(parser, lib, /*devices=*/1, duration, seed);
 
   integrity::IntegrityRunConfig config;
   config.canary.canary_interval_s = canary_interval;

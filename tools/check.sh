@@ -63,14 +63,17 @@ ctest --test-dir "$root/build-asan" -L 'unit|fleet|chaos|forecast|dse|ingest|ten
 # The concurrency surface lives in common/parallel (worker pool), the shard
 # engine (window barriers + mailboxes) and the fleet paths the shards drive,
 # so TSan covers exactly those groups; the nn-training-heavy unit suite is
-# narrowed to its Parallel.* tests to keep the tier's runtime sane.
+# narrowed to its Parallel.* tests to keep the tier's runtime sane. The pool
+# tests run 20 times each, so a scheduling-dependent race fails the tier
+# instead of passing by luck.
 echo "== tier 3: ThreadSanitizer shard/fleet/common tests =="
 cmake -B "$root/build-tsan" -S "$root" -DADAFLOW_TSAN=ON \
   -DADAFLOW_BUILD_BENCH=OFF -DADAFLOW_BUILD_EXAMPLES=OFF
 cmake --build "$root/build-tsan" -j "$jobs" --target adaflow_unit_tests \
   --target adaflow_fleet_tests --target adaflow_shard_tests --target adaflow_cli
 ctest --test-dir "$root/build-tsan" -L 'shard|fleet' --output-on-failure -j "$jobs"
-ctest --test-dir "$root/build-tsan" -L unit -R '^Parallel\.' --output-on-failure -j "$jobs"
+ctest --test-dir "$root/build-tsan" -R '^(Parallel|WorkerPoolTest)\.' --repeat until-fail:20 \
+  --output-on-failure -j "$jobs"
 
 # Every simulation bench is deterministic in its quality metrics (loss, QoE,
 # conservation counters), so a --smoke run compared against the committed
