@@ -65,6 +65,9 @@ struct AcceleratorLibrary {
 
   const ModelVersion& unpruned() const;
   const ModelVersion& at_rate(double requested_rate) const;  ///< closest row
+  /// Row of \p version; versions.size() when absent (a mode of another library).
+  std::size_t find(const std::string& version) const;
+  /// find() that throws NotFoundError on an absent name.
   std::size_t index_of(const std::string& version) const;
 };
 

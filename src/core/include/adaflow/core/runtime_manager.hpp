@@ -56,6 +56,14 @@ struct RuntimeManagerConfig {
 edge::ServingMode mode_for(const AcceleratorLibrary& library, std::size_t version,
                            hls::AcceleratorVariant variant);
 
+/// The one switch-cost rule (paper Section IV-B2): the target version's fast
+/// model switch when both the live mode and \p target are Flexible; any other
+/// move (a Fixed bitstream, or the Fixed -> Flexible "Change of Dataflow") is
+/// a full reconfiguration. \p target is taken as given, so a reload of the
+/// live mode (Fixed, Flexible or OriginalFINN) is priced by the same rule.
+edge::SwitchAction switch_action(const AcceleratorLibrary& library, bool flexible_live,
+                                 edge::ServingMode target);
+
 /// The AdaFlow Runtime Manager, exposed as an edge serving policy.
 class RuntimeManager final : public edge::ServingPolicy {
  public:

@@ -1,5 +1,6 @@
 #include "adaflow/core/library.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <filesystem>
 #include <fstream>
@@ -30,13 +31,18 @@ const ModelVersion& AcceleratorLibrary::at_rate(double requested_rate) const {
   return *best;
 }
 
+std::size_t AcceleratorLibrary::find(const std::string& version) const {
+  const auto it = std::find_if(versions.begin(), versions.end(),
+                               [&](const ModelVersion& v) { return v.version == version; });
+  return static_cast<std::size_t>(it - versions.begin());
+}
+
 std::size_t AcceleratorLibrary::index_of(const std::string& version) const {
-  for (std::size_t i = 0; i < versions.size(); ++i) {
-    if (versions[i].version == version) {
-      return i;
-    }
+  const std::size_t i = find(version);
+  if (i == versions.size()) {
+    throw NotFoundError("library version " + version);
   }
-  throw NotFoundError("library version " + version);
+  return i;
 }
 
 AcceleratorLibrary synthetic_library(int versions, double base_fps, double base_accuracy,

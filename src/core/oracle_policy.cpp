@@ -44,18 +44,9 @@ std::optional<edge::SwitchAction> OraclePolicy::on_poll(double now_s, double /*e
           ? hls::AcceleratorVariant::kFixed
           : hls::AcceleratorVariant::kFlexible;
 
-  edge::SwitchAction action;
-  action.target = mode_for(library_, target, variant);
-  if (variant == hls::AcceleratorVariant::kFixed) {
-    action.switch_time_s = library_.reconfig_time_s;
-    action.is_reconfiguration = true;
-  } else if (current_variant_ == hls::AcceleratorVariant::kFlexible) {
-    action.switch_time_s = library_.versions.at(target).flexible_switch_time_s;
-    action.is_reconfiguration = false;
-  } else {
-    action.switch_time_s = library_.reconfig_time_s;
-    action.is_reconfiguration = true;
-  }
+  edge::SwitchAction action =
+      switch_action(library_, current_variant_ == hls::AcceleratorVariant::kFlexible,
+                    mode_for(library_, target, variant));
   current_version_ = target;
   current_variant_ = variant;
   return action;

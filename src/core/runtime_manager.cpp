@@ -1,6 +1,7 @@
 #include "adaflow/core/runtime_manager.hpp"
 
 #include <cmath>
+#include <utility>
 
 #include "adaflow/common/error.hpp"
 #include "adaflow/core/proactive_manager.hpp"
@@ -86,6 +87,20 @@ edge::ServingMode mode_for(const AcceleratorLibrary& library, std::size_t versio
   }
   mode.accuracy = v.accuracy;
   return mode;
+}
+
+edge::SwitchAction switch_action(const AcceleratorLibrary& library, bool flexible_live,
+                                 edge::ServingMode target) {
+  edge::SwitchAction action;
+  if (flexible_live && target.flexible()) {
+    action.switch_time_s =
+        library.versions[library.index_of(target.model_version)].flexible_switch_time_s;
+  } else {
+    action.switch_time_s = library.reconfig_time_s;
+    action.is_reconfiguration = true;
+  }
+  action.target = std::move(target);
+  return action;
 }
 
 PinnedPolicy::PinnedPolicy(const AcceleratorLibrary& library, std::size_t version,
@@ -181,23 +196,9 @@ std::optional<edge::SwitchAction> RuntimeManager::on_poll(double now_s, double i
   }
 
   const hls::AcceleratorVariant variant = select_variant(now_s);
-  edge::SwitchAction action;
-  action.target = mode_for(library_, target, variant);
-  if (variant == hls::AcceleratorVariant::kFixed) {
-    // Loading a different Fixed bitstream is always a reconfiguration.
-    action.switch_time_s = library_.reconfig_time_s;
-    action.is_reconfiguration = true;
-  } else if (current_variant_ == hls::AcceleratorVariant::kFlexible) {
-    // Fast in-place model switch.
-    action.switch_time_s = library_.versions.at(target).flexible_switch_time_s;
-    action.is_reconfiguration = false;
-  } else {
-    // "Change of Dataflow": one reconfiguration to bring in the Flexible
-    // accelerator, after which switches are fast.
-    action.switch_time_s = library_.reconfig_time_s;
-    action.is_reconfiguration = true;
-  }
-
+  edge::SwitchAction action =
+      switch_action(library_, current_variant_ == hls::AcceleratorVariant::kFlexible,
+                    mode_for(library_, target, variant));
   current_version_ = target;
   current_variant_ = variant;
   last_decision_s_ = now_s;
@@ -206,8 +207,8 @@ std::optional<edge::SwitchAction> RuntimeManager::on_poll(double now_s, double i
 
 void RuntimeManager::on_switch_applied(double now_s, const edge::ServingMode& mode) {
   last_model_switch_s_ = now_s;
-  live_variant_ = mode.accelerator == "Flexible" ? hls::AcceleratorVariant::kFlexible
-                                                 : hls::AcceleratorVariant::kFixed;
+  live_variant_ =
+      mode.flexible() ? hls::AcceleratorVariant::kFlexible : hls::AcceleratorVariant::kFixed;
   live_version_ = library_.index_of(mode.model_version);
 }
 
@@ -223,22 +224,16 @@ std::optional<edge::SwitchAction> RuntimeManager::on_switch_failed(
     return std::nullopt;  // a fast switch failed; nothing cheaper exists
   }
   last_switch_failure_s_ = now_s;
-  if (action.target.accelerator == "Flexible") {
+  if (action.target.flexible()) {
     return std::nullopt;  // the safety net itself failed to load; stay put
   }
   // Fixed-Pruning reconfiguration failed: fall back to the same model version
   // on the Flexible accelerator — fast if Flexible is already loaded, one
   // "Change of Dataflow" reconfiguration otherwise.
   const std::size_t version = library_.index_of(action.target.model_version);
-  edge::SwitchAction fallback;
-  fallback.target = mode_for(library_, version, hls::AcceleratorVariant::kFlexible);
-  if (live_variant_ == hls::AcceleratorVariant::kFlexible) {
-    fallback.switch_time_s = library_.versions.at(version).flexible_switch_time_s;
-    fallback.is_reconfiguration = false;
-  } else {
-    fallback.switch_time_s = library_.reconfig_time_s;
-    fallback.is_reconfiguration = true;
-  }
+  edge::SwitchAction fallback =
+      switch_action(library_, live_variant_ == hls::AcceleratorVariant::kFlexible,
+                    mode_for(library_, version, hls::AcceleratorVariant::kFlexible));
   current_version_ = version;
   current_variant_ = hls::AcceleratorVariant::kFlexible;
   last_decision_s_ = now_s;
@@ -273,15 +268,9 @@ std::optional<edge::SwitchAction> RuntimeManager::on_overload(double now_s, doub
       library_.versions.at(fastest).fps_fixed >= fastest_fps) {
     return std::nullopt;  // the Fixed variant of the same version is no slower
   }
-  edge::SwitchAction action;
-  action.target = mode_for(library_, fastest, hls::AcceleratorVariant::kFlexible);
-  if (current_variant_ == hls::AcceleratorVariant::kFlexible) {
-    action.switch_time_s = library_.versions.at(fastest).flexible_switch_time_s;
-    action.is_reconfiguration = false;
-  } else {
-    action.switch_time_s = library_.reconfig_time_s;
-    action.is_reconfiguration = true;
-  }
+  edge::SwitchAction action =
+      switch_action(library_, current_variant_ == hls::AcceleratorVariant::kFlexible,
+                    mode_for(library_, fastest, hls::AcceleratorVariant::kFlexible));
   current_version_ = fastest;
   current_variant_ = hls::AcceleratorVariant::kFlexible;
   last_decision_s_ = now_s;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "adaflow/common/error.hpp"
 #include "adaflow/faults/fault_injector.hpp"
@@ -110,9 +111,8 @@ void DeviceSim::set_mode(const ServingMode& m) {
 /// The scaling is deterministic (no device-side randomness), so replay
 /// depends only on the injector's pre-resolved schedule.
 void DeviceSim::on_config_upset(const faults::ConfigUpsetEvent& upset) {
-  const bool flexible = mode_.accelerator.rfind("Flexible", 0) == 0;
   const double penalty =
-      upset.accuracy_penalty * (flexible ? upset.flexible_cross_section : 1.0);
+      upset.accuracy_penalty * (mode_.flexible() ? upset.flexible_cross_section : 1.0);
   if (penalty <= 0.0) {
     return;
   }
@@ -179,10 +179,9 @@ void DeviceSim::start_next_frame() {
   integrate_power();
   processing_ = true;
   --queued_;
-  inflight_tag_ = queued_tags_.front();
-  queued_tags_.pop_front();
-  inflight_canary_ = queued_canary_.front() != 0;
-  queued_canary_.pop_front();
+  inflight_tag_ = queued_frames_.front().tag;
+  inflight_canary_ = queued_frames_.front().canary;
+  queued_frames_.pop_front();
   if (inflight_canary_) {
     --queued_canaries_;
   }
@@ -579,8 +578,7 @@ bool DeviceSim::offer_frame(bool count_loss, std::int64_t tag) {
     return false;
   }
   ++queued_;
-  queued_tags_.push_back(tag);
-  queued_canary_.push_back(0);
+  queued_frames_.push_back({tag, false, queue_.now()});
   account_violation();
   start_next_frame();
   return true;
@@ -595,8 +593,7 @@ bool DeviceSim::offer_canary() {
   ++metrics_.integrity.canaries_sent;
   ++queued_;
   ++queued_canaries_;
-  queued_tags_.push_back(kNoTag);
-  queued_canary_.push_back(1);
+  queued_frames_.push_back({kNoTag, true, queue_.now()});
   account_violation();
   start_next_frame();
   return true;
@@ -607,23 +604,27 @@ std::int64_t DeviceSim::take_queued(std::int64_t max_frames, std::vector<std::in
   while (taken < max_frames && queued_ > 0) {
     // Oldest first: the longest-waiting frames are the ones a hedge or a
     // quarantine drain wants somewhere else.
-    const bool canary = queued_canary_.front() != 0;
-    const std::int64_t tag = queued_tags_.front();
-    queued_canary_.pop_front();
-    queued_tags_.pop_front();
+    const QueuedFrame frame = queued_frames_.front();
+    queued_frames_.pop_front();
     --queued_;
-    if (canary) {
+    if (frame.canary) {
       --queued_canaries_;
       continue;  // drained canaries are discarded, not re-dispatched — the
                  // prober sends fresh ones; they don't count toward taken
     }
     if (tags != nullptr) {
-      tags->push_back(tag);
+      tags->push_back(frame.tag);
     }
     ++taken;
   }
   account_violation();
   return taken;
+}
+
+double DeviceSim::oldest_frame_enqueued_s() const {
+  const auto it = std::find_if(queued_frames_.begin(), queued_frames_.end(),
+                               [](const QueuedFrame& frame) { return !frame.canary; });
+  return it != queued_frames_.end() ? it->enqueued_s : std::numeric_limits<double>::infinity();
 }
 
 double DeviceSim::estimate_incoming_fps() {

@@ -17,6 +17,7 @@
 /// makes several instances composable on one queue.
 
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <string>
 #include <vector>
@@ -24,8 +25,6 @@
 #include "adaflow/edge/policy.hpp"
 #include "adaflow/edge/server_types.hpp"
 #include "adaflow/sim/event_queue.hpp"
-
-#include <deque>
 
 namespace adaflow::faults {
 class FaultInjector;
@@ -122,6 +121,8 @@ class DeviceSim {
   std::int64_t queued_canaries() const { return queued_canaries_; }
   /// True while the frame in service is a canary (same exclusion).
   bool canary_in_service() const { return inflight_canary_; }
+  /// Enqueue time of the oldest waiting real frame (+inf if none): the hedge clock.
+  double oldest_frame_enqueued_s() const;
   std::int64_t queue_capacity() const { return config_.queue_capacity; }
   std::int64_t free_slots() const { return config_.queue_capacity - queued_; }
   bool processing() const { return processing_; }
@@ -255,16 +256,14 @@ class DeviceSim {
   // Incoming-rate estimation: arrival timestamps inside the window.
   std::deque<double> recent_arrivals_;
 
-  // Frame identity: tags of waiting frames in queue order (always kept in
-  // lock-step with queued_) and of the frame in service.
-  std::deque<std::int64_t> queued_tags_;
-  std::int64_t inflight_tag_ = kNoTag;
-
-  // Canary flags ride the same FIFO in lock-step with queued_tags_: a canary
-  // costs a real service slot (the probing tax) but its completion routes to
-  // the canary hook instead of the workload metrics.
-  std::deque<char> queued_canary_;
+  struct QueuedFrame {  // one per waiting frame (queued_ of them), canaries included
+    std::int64_t tag;
+    bool canary;
+    double enqueued_s;
+  };
+  std::deque<QueuedFrame> queued_frames_;
   std::int64_t queued_canaries_ = 0;
+  std::int64_t inflight_tag_ = kNoTag;  ///< the frame in service
   bool inflight_canary_ = false;
 
   // Silent-corruption state: accumulated accuracy penalty of the config

@@ -23,6 +23,10 @@ struct ServingMode {
   double accuracy = 0.0;       ///< test accuracy of the model version
   double power_busy_w = 0.0;   ///< board power while processing
   double power_idle_w = 0.0;   ///< board power while idle / reconfiguring
+
+  /// True on the shared Flexible-Pruning accelerator, the only one that can
+  /// change its model without a full FPGA reconfiguration.
+  bool flexible() const { return accelerator == "Flexible"; }
 };
 
 /// A switch the policy wants performed.

@@ -8,16 +8,6 @@
 
 namespace adaflow::fleet {
 
-std::size_t find_version(const core::AcceleratorLibrary& library,
-                         const std::string& version_name) {
-  for (std::size_t i = 0; i < library.versions.size(); ++i) {
-    if (library.versions[i].version == version_name) {
-      return i;
-    }
-  }
-  return library.versions.size();
-}
-
 std::uint64_t device_seed(std::uint64_t fleet_seed, std::size_t index) {
   return fleet_seed ^ (0x9e3779b97f4a7c15ULL * static_cast<std::uint64_t>(index + 1));
 }
@@ -51,7 +41,6 @@ FleetEngine::FleetEngine(sim::EventQueue& queue, const core::AcceleratorLibrary&
   }
   accepting_.assign(n, 1);
   probe_wanted_.assign(n, 0);
-  queued_since_.resize(n);
   if (config_.integrity.enabled) {
     integrity_detectors_.reserve(n);
     for (std::size_t i = 0; i < n; ++i) {
@@ -124,9 +113,6 @@ bool FleetEngine::try_dispatch(std::int64_t tag, std::size_t exclude) {
   }
   require(idx < devices_.size() && statuses[idx].eligible,
           "router '" + router_.name() + "' returned an ineligible device");
-  // Timestamp first: offer_frame may start service synchronously and fire
-  // the headroom callback, which pops this very entry.
-  queued_since_[idx].push_back(queue_.now());
   const bool taken = devices_[idx]->offer_frame(/*count_loss=*/false, tag);
   require(taken, "eligible device '" + devices_[idx]->name() + "' rejected a frame");
   ++metrics_.dispatched;
@@ -141,10 +127,7 @@ bool FleetEngine::try_probe_dispatch(std::int64_t tag) {
     if (probe_wanted_[i] == 0 || devices_[i]->free_slots() <= 0) {
       continue;
     }
-    queued_since_[i].push_back(queue_.now());
-    const bool taken = devices_[i]->offer_frame(/*count_loss=*/false, tag);
-    if (!taken) {
-      queued_since_[i].pop_back();
+    if (!devices_[i]->offer_frame(/*count_loss=*/false, tag)) {
       continue;
     }
     ++metrics_.dispatched;
@@ -175,14 +158,6 @@ void FleetEngine::drain_ingress() {
     }
   }
   draining_ = false;
-}
-
-/// A queued frame on device \p i moved into service.
-void FleetEngine::on_device_headroom(std::size_t i) {
-  if (!queued_since_[i].empty()) {
-    queued_since_[i].pop_front();
-  }
-  drain_ingress();
 }
 
 FleetEngine::Admit FleetEngine::offer_frame(std::int64_t tag) {
@@ -238,7 +213,6 @@ void FleetEngine::redispatch_or_park(std::int64_t tag, std::size_t exclude) {
 void FleetEngine::quarantine_drain(std::size_t i) {
   std::vector<std::int64_t> tags;
   const std::int64_t pulled = devices_[i]->take_queued(devices_[i]->queued(), &tags);
-  queued_since_[i].clear();
   for (std::int64_t k = 0; k < pulled; ++k) {
     redispatch_or_park(tags[static_cast<std::size_t>(k)], i);
   }
@@ -270,18 +244,7 @@ void FleetEngine::health_tick() {
     obs.nominal_fps = dev.mode().fps;
     const HealthAction action = monitor_.observe(i, now, obs);
     if (action.quarantine) {
-      ++metrics_.quarantines;
-      if (coord_state_ != CoordState::kIdle && coord_device_ == i) {
-        // The device the coordinator was cycling just got quarantined:
-        // abort the cycle; the monitor owns the exclusion from here.
-        accepting_[i] = 1;
-        coord_state_ = CoordState::kIdle;
-        last_repartition_end_s_ = now;
-      }
-      quarantine_drain(i);
-      // The fleet shrank: force the coordinator to re-balance the
-      // survivors instead of sitting in its hysteresis band.
-      last_converged_fps_ = -1.0;
+      on_quarantined(i, now);
     }
     if (action.want_probe) {
       probe_wanted_[i] = 1;
@@ -291,9 +254,6 @@ void FleetEngine::health_tick() {
       if (devices_[i]->take_queued(1, &tags) == 1) {
         // The probe frame is still sitting in the sick queue: reclaim it so
         // no frame is stuck for longer than one probe cycle.
-        if (!queued_since_[i].empty()) {
-          queued_since_[i].pop_front();
-        }
         redispatch_or_park(tags.front(), i);
       }
     }
@@ -309,19 +269,17 @@ void FleetEngine::health_tick() {
   // Hedged re-dispatch: a frame stuck waiting past its budget is pulled
   // back and re-routed — but only when somewhere better exists right now
   // (hedging into a full fleet would just forfeit the frame's position).
+  // The clock is the device's own record of the oldest real frame, so a
+  // canary ahead of it neither resets nor hides its wait.
   if (config_.health.hedge_budget_s > 0.0) {
     for (std::size_t i = 0; i < devices_.size(); ++i) {
       if (excluded(i)) {
         continue;  // quarantine drain already emptied it
       }
-      while (!queued_since_[i].empty() &&
-             now - queued_since_[i].front() >= config_.health.hedge_budget_s &&
+      while (now - devices_[i]->oldest_frame_enqueued_s() >= config_.health.hedge_budget_s &&
              any_other_eligible(i)) {
         std::vector<std::int64_t> tags;
-        if (devices_[i]->take_queued(1, &tags) == 0) {
-          break;
-        }
-        queued_since_[i].pop_front();
+        devices_[i]->take_queued(1, &tags);
         ++metrics_.redispatched;
         ++metrics_.hedged;
         const bool placed = try_dispatch(tags.front(), i);
@@ -339,6 +297,18 @@ void FleetEngine::health_tick() {
   if (next <= horizon_s_) {
     queue_.schedule_at(next, [this] { health_tick(); });
   }
+}
+
+/// Every route into quarantine (health tick, integrity detection): abort a
+/// coordinator cycle on \p i, drain its queue, and force the coordinator to
+/// re-balance the survivors instead of sitting in its hysteresis band.
+void FleetEngine::on_quarantined(std::size_t i, double now) {
+  ++metrics_.quarantines;
+  if (coord_state_ != CoordState::kIdle && coord_device_ == i) {
+    end_coordinator_cycle(now);  // the monitor owns the exclusion from here
+  }
+  quarantine_drain(i);
+  last_converged_fps_ = -1.0;
 }
 
 // --- integrity layer --------------------------------------------------------
@@ -373,33 +343,16 @@ void FleetEngine::on_canary_result(std::size_t i, double now, double error) {
       !devices_[i]->switch_in_flight()) {
     const core::AcceleratorLibrary& lib = device_library(i);
     const edge::ServingMode& mode = devices_[i]->mode();
-    const std::size_t version = find_version(lib, mode.model_version);
-    if (version < lib.versions.size()) {
-      edge::SwitchAction action;
-      action.target = mode;
-      if (mode.accelerator == "Flexible") {
-        action.switch_time_s = lib.versions[version].flexible_switch_time_s;
-        action.is_reconfiguration = false;
-      } else {
-        action.switch_time_s = lib.reconfig_time_s;
-        action.is_reconfiguration = true;
-      }
+    if (lib.find(mode.model_version) < lib.versions.size()) {
       last_repair_s_[i] = now;
-      command_device_switch(i, action);
+      command_device_switch(i, core::switch_action(lib, mode.flexible(), mode));
     }
   }
   // Confirmed-corrupt devices leave the routing set through the SAME
   // quarantine/drain/probe/rejoin machinery crashes use; the reload just
   // issued doubles as the cure the rejoin probes will verify.
   if (config_.integrity.quarantine_on_detect && monitor_.force_quarantine(i, now)) {
-    ++metrics_.quarantines;
-    if (coord_state_ != CoordState::kIdle && coord_device_ == i) {
-      accepting_[i] = 1;
-      coord_state_ = CoordState::kIdle;
-      last_repartition_end_s_ = now;
-    }
-    quarantine_drain(i);
-    last_converged_fps_ = -1.0;
+    on_quarantined(i, now);
   }
 }
 
@@ -447,7 +400,7 @@ void FleetEngine::maybe_start_repartition(double now) {
     const std::size_t target =
         core::select_library_version(lib, share, config_.coordinator.accuracy_threshold,
                                      config_.coordinator.fps_margin, /*use_flexible_fps=*/false);
-    const std::size_t current = find_version(lib, devices_[i]->mode().model_version);
+    const std::size_t current = lib.find(devices_[i]->mode().model_version);
     if (current == lib.versions.size() || target == current) {
       continue;
     }
@@ -475,6 +428,14 @@ void FleetEngine::maybe_start_repartition(double now) {
   last_converged_fps_ = agg;
 }
 
+/// Returns the cycled device to rotation and restarts the cycle spacing —
+/// after a finished reconfiguration, or an abort when it was quarantined.
+void FleetEngine::end_coordinator_cycle(double now) {
+  accepting_[coord_device_] = 1;
+  coord_state_ = CoordState::kIdle;
+  last_repartition_end_s_ = now;
+}
+
 void FleetEngine::coordinator_tick() {
   const double now = queue_.now();
   switch (coord_state_) {
@@ -486,9 +447,7 @@ void FleetEngine::coordinator_tick() {
       if (excluded(coord_device_)) {
         // Quarantined mid-drain (health_tick may run between coordinator
         // ticks): abort the cycle, the monitor owns the device now.
-        accepting_[coord_device_] = 1;
-        coord_state_ = CoordState::kIdle;
-        last_repartition_end_s_ = now;
+        end_coordinator_cycle(now);
         break;
       }
       if (dev.switch_in_flight()) {
@@ -496,11 +455,9 @@ void FleetEngine::coordinator_tick() {
       }
       if (dev.idle() || now - drain_started_s_ >= config_.coordinator.drain_timeout_s) {
         const core::AcceleratorLibrary& lib = device_library(coord_device_);
-        edge::SwitchAction action;
-        action.target = core::mode_for(lib, coord_target_, hls::AcceleratorVariant::kFixed);
-        action.switch_time_s = lib.reconfig_time_s;
-        action.is_reconfiguration = true;
-        dev.command_switch(action);
+        dev.command_switch(core::switch_action(
+            lib, dev.mode().flexible(),
+            core::mode_for(lib, coord_target_, hls::AcceleratorVariant::kFixed)));
         coord_state_ = CoordState::kReconfiguring;
       }
       break;
@@ -513,13 +470,10 @@ void FleetEngine::coordinator_tick() {
       // The episode resolved — applied, or abandoned by the retry ladder.
       // Either way the device rejoins; only a successful cycle counts as a
       // repartition.
-      if (find_version(device_library(coord_device_), dev.mode().model_version) ==
-          coord_target_) {
+      if (device_library(coord_device_).find(dev.mode().model_version) == coord_target_) {
         ++metrics_.repartitions;
       }
-      accepting_[coord_device_] = 1;
-      last_repartition_end_s_ = now;
-      coord_state_ = CoordState::kIdle;
+      end_coordinator_cycle(now);
       drain_ingress();
       break;
     }
@@ -581,7 +535,7 @@ void FleetEngine::fleet_sample() {
 void FleetEngine::start() {
   for (std::size_t i = 0; i < devices_.size(); ++i) {
     devices_[i]->start();
-    devices_[i]->set_on_headroom([this, i] { on_device_headroom(i); });
+    devices_[i]->set_on_headroom([this] { drain_ingress(); });
     devices_[i]->set_frame_hooks(
         [this](std::int64_t tag, double accuracy) { frame_done(tag, accuracy); },
         [this](std::int64_t tag) { frame_lost(tag); });

@@ -82,11 +82,6 @@ class FifoIngress final : public IngressQueue {
   std::deque<std::int64_t> frames_;
 };
 
-/// Index of \p version_name in \p library, or versions.size() when the
-/// device currently runs a mode from a different library.
-std::size_t find_version(const core::AcceleratorLibrary& library,
-                         const std::string& version_name);
-
 /// Per-device injector seed: splitmix-style spreading of the fleet seed so
 /// neighbouring devices get unrelated streams.
 std::uint64_t device_seed(std::uint64_t fleet_seed, std::size_t index);
@@ -163,7 +158,6 @@ class FleetEngine {
   bool try_dispatch(std::int64_t tag, std::size_t exclude = kNoExclude);
   bool try_probe_dispatch(std::int64_t tag);
   void drain_ingress();
-  void on_device_headroom(std::size_t i);
   /// Central frame-outcome funnel: forwards caller tags (>= 0) to the user
   /// hooks. Every completion/loss path (device hooks, re-park sheds) reports
   /// through here.
@@ -174,6 +168,7 @@ class FleetEngine {
   /// shed tagged frame fires the lost hook (its owner must hear of it).
   void redispatch_or_park(std::int64_t tag, std::size_t exclude);
   void quarantine_drain(std::size_t i);
+  void on_quarantined(std::size_t i, double now);
   bool any_other_eligible(std::size_t i) const;
   void health_tick();
   /// Offers one golden canary frame to every device (integrity layer
@@ -186,6 +181,7 @@ class FleetEngine {
   void on_canary_result(std::size_t i, double now, double error);
   double aggregate_fps();
   void maybe_start_repartition(double now);
+  void end_coordinator_cycle(double now);
   void coordinator_tick();
   void device_poll(std::size_t i);
   void device_sample(std::size_t i);
@@ -213,9 +209,6 @@ class FleetEngine {
   /// slow reload is not re-issued on every canary while corruption clears).
   std::vector<integrity::DriftDetector> integrity_detectors_;
   std::vector<double> last_repair_s_;
-  /// One dispatch timestamp per frame waiting in a device's queue (front =
-  /// oldest). Kept in lock-step with DeviceSim::queued().
-  std::vector<std::deque<double>> queued_since_;
 
   FleetMetrics metrics_;
   /// The frames waiting at ingress, in the queue's scheduling order.

@@ -93,7 +93,7 @@ class IntegrityManager final : public edge::ServingPolicy {
   edge::ServingPolicy& inner() { return *inner_; }
 
  private:
-  edge::SwitchAction reload_action() const;
+  edge::SwitchAction start_reload(double now_s, bool scrub);
 
   std::unique_ptr<edge::ServingPolicy> inner_;
   const core::AcceleratorLibrary& library_;

@@ -31,23 +31,17 @@ edge::ServingMode IntegrityManager::initial_mode() {
   return live_mode_;
 }
 
-/// Re-load of the LIVE mode. Repairing a Fixed variant means rewriting its
-/// whole bitstream (a full reconfiguration); repairing the shared Flexible
-/// overlay only rewrites its config registers, which the sub-ms fast switch
-/// already does.
-edge::SwitchAction IntegrityManager::reload_action() const {
-  edge::SwitchAction action;
-  action.target = live_mode_;
-  if (live_mode_.accelerator == "Flexible") {
-    const core::ModelVersion& v =
-        library_.versions.at(library_.index_of(live_mode_.model_version));
-    action.switch_time_s = v.flexible_switch_time_s;
-    action.is_reconfiguration = false;
-  } else {
-    action.switch_time_s = library_.reconfig_time_s;
-    action.is_reconfiguration = true;
+/// Starts a re-load of the LIVE mode. Repairing a Fixed variant means
+/// rewriting its whole bitstream (a full reconfiguration); repairing the
+/// shared Flexible overlay only rewrites its config registers, which the
+/// sub-ms fast switch already does.
+edge::SwitchAction IntegrityManager::start_reload(double now_s, bool scrub) {
+  ours_inflight_ = true;
+  last_reload_s_ = now_s;
+  if (on_reload_) {
+    on_reload_(now_s, scrub);
   }
-  return action;
+  return core::switch_action(library_, live_mode_.flexible(), live_mode_);
 }
 
 void IntegrityManager::request_repair(double now_s) {
@@ -65,22 +59,12 @@ std::optional<edge::SwitchAction> IntegrityManager::on_poll(double now_s, double
   const bool cooled = now_s - last_reload_s_ >= config_.repair_cooldown_s;
   if (repair_requested_ && cooled) {
     repair_requested_ = false;
-    ours_inflight_ = true;
-    last_reload_s_ = now_s;
-    if (on_reload_) {
-      on_reload_(now_s, /*scrub=*/false);
-    }
-    return reload_action();
+    return start_reload(now_s, /*scrub=*/false);
   }
   if (config_.scrub_period_s > 0.0 && now_s - last_scrub_s_ >= config_.scrub_period_s &&
       cooled) {
     last_scrub_s_ = now_s;
-    ours_inflight_ = true;
-    last_reload_s_ = now_s;
-    if (on_reload_) {
-      on_reload_(now_s, /*scrub=*/true);
-    }
-    return reload_action();
+    return start_reload(now_s, /*scrub=*/true);
   }
   return inner_->on_poll(now_s, incoming_fps);
 }
@@ -115,12 +99,13 @@ std::optional<edge::SwitchAction> IntegrityManager::on_switch_failed(
     // Flexible overlay running the same model version — cheap repair, and
     // the Flexible cross-section shrinks future upsets as a bonus.
     fallback_issued_ = true;
-    edge::SwitchAction fallback;
     const std::size_t version = library_.index_of(live_mode_.model_version);
-    fallback.target = core::mode_for(library_, version, hls::AcceleratorVariant::kFlexible);
-    fallback.switch_time_s = library_.versions.at(version).flexible_switch_time_s;
-    fallback.is_reconfiguration = false;
-    return fallback;
+    // Priced as a fast switch even when the live mode is Fixed: this assumes
+    // the Flexible overlay is already resident beside the failing bitstream,
+    // where the Runtime Manager's own fallback charges a Change of Dataflow.
+    return core::switch_action(library_, /*flexible_live=*/true,
+                               core::mode_for(library_, version,
+                                              hls::AcceleratorVariant::kFlexible));
   }
   // The cheap path failed too (or was the primary and failed): stay on the
   // live mode, let the cooldown expire, and try again on fresh evidence.

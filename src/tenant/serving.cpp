@@ -329,7 +329,7 @@ struct TenantSim {
       if (dev.switch_in_flight()) {
         continue;
       }
-      const std::size_t current = fleet::find_version(lib, dev.mode().model_version);
+      const std::size_t current = lib.find(dev.mode().model_version);
       const bool mode_matches =
           current == target &&
           std::abs(dev.mode().fps - lib.versions[target].fps_fixed) < 1e-9;
@@ -342,11 +342,9 @@ struct TenantSim {
           now - last_switch_s[i] < config.switch_spacing_factor * lib.reconfig_time_s) {
         continue;
       }
-      edge::SwitchAction action;
-      action.target = core::mode_for(lib, target, hls::AcceleratorVariant::kFixed);
-      action.switch_time_s = lib.reconfig_time_s;
-      action.is_reconfiguration = true;
-      engine->command_device_switch(i, action);
+      engine->command_device_switch(
+          i, core::switch_action(lib, dev.mode().flexible(),
+                                 core::mode_for(lib, target, hls::AcceleratorVariant::kFixed)));
       last_switch_s[i] = now;
       ++out.version_switches;
       ++out.tenants[t].version_switches;
@@ -402,7 +400,7 @@ struct TenantSim {
   std::size_t final_version_of(std::size_t t) const {
     for (std::size_t i = 0; i < router.assignment().size(); ++i) {
       if (router.owner(i) == t) {
-        return fleet::find_version(*tenant_lib[t], engine->device(i).mode().model_version);
+        return tenant_lib[t]->find(engine->device(i).mode().model_version);
       }
     }
     return tenant_lib[t]->versions.size();

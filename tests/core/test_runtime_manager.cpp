@@ -404,6 +404,41 @@ TEST(ModeFor, PinsEveryFieldOfEveryVersionAndVariant) {
   EXPECT_THROW(mode_for(lib, 3, AcceleratorVariant::kFixed), std::out_of_range);
 }
 
+TEST(SwitchAction, OneRuleCoversEveryMove) {
+  AcceleratorLibrary lib = rule_library();
+  for (std::size_t i = 0; i < lib.versions.size(); ++i) {
+    lib.versions[i].flexible_switch_time_s = 0.001 * static_cast<double>(i + 1);
+  }
+  using hls::AcceleratorVariant;
+  const edge::ServingMode finn = StaticFinnPolicy(lib).initial_mode();
+  struct Row {
+    const char* move;
+    bool flexible_live;
+    edge::ServingMode target;
+    double switch_time_s;
+    bool is_reconfiguration;
+  };
+  const Row rows[] = {
+      {"Fixed -> Fixed", false, mode_for(lib, 2, AcceleratorVariant::kFixed), 0.1, true},
+      {"Fixed -> Flexible", false, mode_for(lib, 2, AcceleratorVariant::kFlexible), 0.1, true},
+      {"Flexible -> Flexible", true, mode_for(lib, 2, AcceleratorVariant::kFlexible), 0.003,
+       false},
+      {"Flexible -> Fixed", true, mode_for(lib, 2, AcceleratorVariant::kFixed), 0.1, true},
+      {"reload Fixed", false, mode_for(lib, 1, AcceleratorVariant::kFixed), 0.1, true},
+      {"reload Flexible", true, mode_for(lib, 1, AcceleratorVariant::kFlexible), 0.002, false},
+      {"reload OriginalFINN", false, finn, 0.1, true},
+  };
+  for (const Row& r : rows) {
+    SCOPED_TRACE(r.move);
+    const edge::SwitchAction action = switch_action(lib, r.flexible_live, r.target);
+    EXPECT_DOUBLE_EQ(action.switch_time_s, r.switch_time_s);
+    EXPECT_EQ(action.is_reconfiguration, r.is_reconfiguration);
+    EXPECT_EQ(action.target.accelerator, r.target.accelerator);
+    EXPECT_EQ(action.target.model_version, r.target.model_version);
+  }
+  EXPECT_EQ(finn.accelerator, "OriginalFINN");
+}
+
 TEST(PinnedPolicy, ServesOneVersionOnEitherVariantAndNeverActs) {
   const AcceleratorLibrary lib = rule_library();
   PinnedPolicy fixed(lib, 2, hls::AcceleratorVariant::kFixed);

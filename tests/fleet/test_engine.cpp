@@ -1,6 +1,7 @@
 /// FleetEngine contract tests: Admit transitions, frame-hook ordering and
 /// exactly-once delivery, drain re-entrancy from inside a hook, the
-/// pluggable ingress queue, and duplicate-hedge flow conservation.
+/// pluggable ingress queue, migration-hedge flow conservation, and the hedge
+/// clock under integrity canaries.
 
 #include "adaflow/fleet/engine.hpp"
 
@@ -245,6 +246,61 @@ TEST(FleetEngine, MigrationHedgeConservesFlowAndDeliversOnce) {
   }
   EXPECT_EQ(m.processed, delivered);
   EXPECT_EQ(delivered, kFrames);
+}
+
+TEST(FleetEngine, HedgeClockSkipsCanaries) {
+  const core::AcceleratorLibrary lib = core::synthetic_library();
+  // dev0 serves 5 FPS (0.2 s per frame or canary), dev1 500 FPS; round-robin
+  // keeps parking every other frame on dev0 while canaries share its queue.
+  const core::AcceleratorLibrary slow = core::scale_library_fps(lib, 0.01);
+  sim::EventQueue queue;
+  FleetConfig config;
+  FleetDevice d0 = pinned_device("slow", slow, 0);
+  d0.server.queue_capacity = 8;
+  FleetDevice d1 = pinned_device("fast", lib, 0);
+  d1.server.queue_capacity = 8;
+  config.devices = {std::move(d0), std::move(d1)};
+  config.ingress_capacity = 64;
+  config.health.enabled = true;
+  config.health.tick_interval_s = 0.05;
+  // Isolate hedging from quarantine: canaries take most of dev0's service,
+  // which the degraded-rate detector would otherwise flag.
+  config.health.suspect_timeout_s = 60.0;
+  config.health.rate_window_s = 60.0;
+  config.health.hedge_budget_s = 0.1;
+  config.integrity.enabled = true;
+  config.integrity.canary_interval_s = 0.05;
+
+  auto router = make_router("round-robin");
+  FleetEngine engine(queue, lib, config, *router, 1, 10.0);
+  std::map<std::int64_t, double> offered_at;
+  double worst_latency_s = 0.0;
+  std::int64_t delivered = 0;
+  engine.set_frame_hooks(
+      [&](std::int64_t tag, double) {
+        worst_latency_s = std::max(worst_latency_s, queue.now() - offered_at.at(tag));
+        ++delivered;
+      },
+      [](std::int64_t) {});
+  engine.start();
+
+  constexpr std::int64_t kFrames = 200;
+  for (std::int64_t tag = 0; tag < kFrames; ++tag) {
+    const double t = 0.02 * static_cast<double>(tag + 1);
+    offered_at[tag] = t;
+    queue.schedule_at(t, [&engine, tag] { engine.offer_frame(tag); });
+  }
+  queue.run_until(10.0);
+  const FleetMetrics m = engine.finalize(10.0);
+
+  EXPECT_EQ(m.quarantines, 0);
+  EXPECT_GT(m.hedged, 0);
+  EXPECT_GT(m.integrity.canaries_sent, 0);
+  EXPECT_EQ(delivered, kFrames);
+  // Every real frame on dev0 either enters service or is hedged to the idle
+  // dev1 within budget + one tick, so none waits behind dev0's queue longer
+  // than that plus one 0.2 s service slot.
+  EXPECT_LE(worst_latency_s, 0.1 + 0.05 + 0.2 + 0.05);
 }
 
 }  // namespace

@@ -237,10 +237,11 @@ int cmd_simulate(const std::vector<std::string>& args) {
   parser.add_option("library", "library file", "library.tsv");
   parser.add_option("scenario", "1 | 2 | 1+2", "1+2");
   parser.add_option("runs", "repetitions", "20");
-  parser.add_option("policy", "adaflow | finn | reconf", "adaflow");
+  parser.add_option("policy", "adaflow | finn | reconf | proactive", "adaflow");
   parser.add_option("threshold", "accuracy threshold (fraction)", "0.10");
   parser.parse(args);
 
+  const core::PolicyKind kind = core::policy_kind_from_name(parser.option("policy"));
   const core::AcceleratorLibrary lib = core::load_library(parser.option("library"));
   edge::WorkloadConfig workload;
   const std::string scenario = parser.option("scenario");
@@ -256,25 +257,13 @@ int cmd_simulate(const std::vector<std::string>& args) {
 
   core::RuntimeManagerConfig rmc;
   rmc.accuracy_threshold = parser.option_double("threshold");
-  const std::string policy = parser.option("policy");
   const int runs = static_cast<int>(parser.option_int("runs"));
+  const edge::RepeatedRunResult r = edge::run_repeated(
+      workload, [&] { return core::make_serving_policy(kind, lib, rmc); }, edge::ServerConfig{},
+      runs);
 
-  auto factory = [&]() -> std::unique_ptr<edge::ServingPolicy> {
-    if (policy == "adaflow") {
-      return std::make_unique<core::RuntimeManager>(lib, rmc);
-    }
-    if (policy == "finn") {
-      return std::make_unique<core::StaticFinnPolicy>(lib);
-    }
-    if (policy == "reconf") {
-      return std::make_unique<core::ReconfPruningPolicy>(lib, rmc, lib.reconfig_time_s);
-    }
-    throw ConfigError("unknown policy '" + policy + "'");
-  };
-  const edge::RepeatedRunResult r =
-      edge::run_repeated(workload, factory, edge::ServerConfig{}, runs);
-
-  std::printf("policy=%s scenario=%s runs=%d\n", policy.c_str(), scenario.c_str(), runs);
+  std::printf("policy=%s scenario=%s runs=%d\n", core::policy_kind_name(kind), scenario.c_str(),
+              runs);
   std::printf("frame loss   %s (stddev %s)\n", format_percent(r.mean.frame_loss(), 2).c_str(),
               format_percent(r.frame_loss.stddev(), 2).c_str());
   std::printf("QoE          %s\n", format_percent(r.mean.qoe(), 2).c_str());

@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
-# Full local gate: tier-1 release build (-Werror) + full test suite, fast
-# label groups for iterating on src/fleet, the resilience layer, src/forecast,
-# src/dse, src/ingest, src/tenant, src/shard, src/graph and src/detect, the
-# fast suites again under
+# Full local gate: tier-1 switch-cost lint, release build (-Werror) + full
+# test suite, fast label groups for iterating on src/fleet, the resilience
+# layer, src/forecast, src/dse, src/ingest, src/tenant, src/shard, src/graph
+# and src/detect, the fast suites again under
 # AddressSanitizer + UndefinedBehaviorSanitizer (ADAFLOW_SANITIZE=ON), the
 # concurrency-bearing suites under ThreadSanitizer (ADAFLOW_TSAN=ON), a
 # bench smoke tier gated against the committed baselines in bench/baselines/,
@@ -14,7 +14,17 @@ set -euo pipefail
 jobs="${1:-$(nproc)}"
 root="$(cd "$(dirname "$0")/.." && pwd)"
 
-echo "== tier 1: release build (-Werror) + full test suite =="
+echo "== tier 1: switch-cost lint, release build (-Werror) + full test suite =="
+# One switch-cost rule: every SwitchAction is priced by core::switch_action.
+# The only file allowed to set a switch's cost is the one that defines it
+# (it also holds ReconfPruningPolicy, the ablation baseline with its own
+# configured reconfiguration time).
+rule_file="$root/src/core/runtime_manager.cpp"
+if grep -rnE '(\.|->)(switch_time_s|is_reconfiguration)[[:space:]]*=([^=]|$)' "$root/src" \
+    --include='*.cpp' --include='*.hpp' | grep -v "^$rule_file:"; then
+  echo "switch_time_s / is_reconfiguration assigned outside $rule_file: use core::switch_action"
+  exit 1
+fi
 cmake -B "$root/build" -S "$root" -DADAFLOW_WERROR=ON
 cmake --build "$root/build" -j "$jobs"
 ctest --test-dir "$root/build" --output-on-failure -j "$jobs"
